@@ -33,7 +33,7 @@ from .identities import (
 )
 from .lincomb import LinComb
 from .numerics import DEFAULT_DIGITS, verify
-from .rank import table_row
+from .rank import FAMILIES, table_row
 from .reflect import reflective_closure
 from .regalgebra import regularise_word
 from .words import (
@@ -268,9 +268,9 @@ def cmd_rank(args) -> int:
 def cmd_table(args) -> int:
     row = table_row(args.weight)
     if args.format == "json":
-        print(serial.dumps(_row_json(row, ("cyclic", "altodd", "duality"))))
+        print(serial.dumps(_row_json(row, FAMILIES)))
     else:
-        _print_row(row, ("cyclic", "altodd", "duality"))
+        _print_row(row, FAMILIES)
     return 0
 
 
@@ -402,3 +402,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

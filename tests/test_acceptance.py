@@ -227,11 +227,19 @@ def test_criterion_9_symmetric_insertion_rationality():
             done += 1
 
 
-def test_criterion_10_rank_table():
+@pytest.fixture(scope="module")
+def rank_table():
+    """Criterion 10's inputs, built once: table_row(N) for N = 4..8, the
+    time that took, and the cyclic rows of each N."""
+    t0 = time.monotonic()
+    rows = {N: table_row(N) for N in range(4, 9)}
+    elapsed = time.monotonic() - t0
+    return rows, elapsed, {N: cyclic_rows(N) for N in range(4, 9)}
+
+
+def test_criterion_10_rank_table(rank_table):
     with criterion(10, "rank table N = 4..8 (duality, overall, expected)"):
-        t0 = time.monotonic()
-        rows = {N: table_row(N) for N in range(4, 9)}
-        elapsed = time.monotonic() - t0
+        rows, elapsed, _ = rank_table
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
         assert [(rows[N].duality_init, rows[N].duality_rank) for N in range(4, 9)] == [
             (2, 1), (8, 4), (12, 6), (32, 16), (56, 28),
@@ -273,12 +281,12 @@ def _fraction_rank(rows):
     return len(pivots)
 
 
-def test_criterion_10_cyclic_rank_column():
+def test_criterion_10_cyclic_rank_column(rank_table):
     with criterion(10, "rank table N = 4..8 (cyclic rank column)"):
+        table, _, rows = rank_table
         expected = {**PUBLISHED_CYCLIC_RANKS, 7: CYCLIC_RANK_W7}
-        got = {N: table_row(N).cyclic_rank for N in range(4, 9)}
+        got = {N: table[N].cyclic_rank for N in range(4, 9)}
         assert got == expected
-        rows = {N: cyclic_rows(N) for N in range(4, 9)}
         # every entry agrees with an elimination that does not use rank_of
         assert {N: _fraction_rank(r) for N, r in rows.items()} == got
         # weight 7: the rows are independent, so the published 24 cannot

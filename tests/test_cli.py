@@ -1,6 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import blockzeta
 from blockzeta.cli import run
 
 
@@ -117,3 +124,49 @@ class TestKernelAndTable:
         data = json.loads(out)
         assert data["duality"] == {"init": 8, "rank": 4}
         assert "cyclic" not in data
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("rank", "--weight", "1"), "weight must be at least 2"),
+            (("rank", "--weight", "0"), "weight must be at least 2"),
+            (("rank", "--weight", "-1"), "weight must be at least 2"),
+            (("table", "--weight", "1"), "weight must be at least 2"),
+            (("rank", "--weight", "1", "--matrix"), "weight must be at least 2"),
+            (("rank", "--weight", "5", "--families", "nope"), "unknown family 'nope'"),
+            (("rank", "--weight", "5", "--families", "cyclic,"), "unknown family ''"),
+        ],
+    )
+    def test_bad_table_input_exit_2(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
+def _module_run(*argv):
+    """Run `python -m <argv>` with this package importable."""
+    env = dict(os.environ)
+    src = str(Path(blockzeta.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestModuleEntry:
+    ROW4 = "weight 4:  cyclic 5/3  alt-odd 2/1  duality 2/1  overall 3  expected 3\n"
+
+    def test_python_m_blockzeta(self):
+        proc = _module_run("blockzeta", "table", "--weight", "4")
+        assert (proc.returncode, proc.stdout) == (0, self.ROW4)
+
+    def test_python_m_blockzeta_cli(self):
+        proc = _module_run("blockzeta.cli", "table", "--weight", "4")
+        assert (proc.returncode, proc.stdout) == (0, self.ROW4)
+
+    def test_python_m_usage_error(self):
+        proc = _module_run("blockzeta", "rank", "--weight", "0")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "weight must be at least 2" in proc.stderr

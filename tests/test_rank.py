@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -6,18 +7,68 @@ from blockzeta.bigreal import BigReal, bits_for_digits
 from blockzeta.lincomb import LinComb
 from blockzeta.numerics import eval_mzv
 from blockzeta.rank import (
+    MERSENNE_61,
+    RelationMatrix,
     altodd_rows,
     basis_compositions,
     cyclic_family,
     cyclic_row,
     cyclic_rows,
     duality_rows,
+    rank_certificate,
     rank_of,
     table_row,
     vectorize,
     zagier_dim,
 )
 from blockzeta.words import convergent_words, word, word_to_mzv, zc
+
+
+def _bareiss_rank(rows):
+    """Exact rank by fraction-free (Bareiss) elimination over the integers.
+
+    The oracle for the modular `rank_of`.
+    """
+    mat = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        r = [int(x * den) for x in row]
+        if any(r):
+            mat.append(r)
+    if not mat:
+        return 0
+    n_rows, n_cols = len(mat), len(mat[0])
+    rank = 0
+    prev_piv = 1
+    row = 0
+    for col in range(n_cols):
+        piv_row = next((i for i in range(row, n_rows) if mat[i][col]), None)
+        if piv_row is None:
+            continue
+        mat[row], mat[piv_row] = mat[piv_row], mat[row]
+        piv = mat[row][col]
+        for i in range(row + 1, n_rows):
+            if not any(mat[i][col:]):
+                continue
+            factor = mat[i][col]
+            for j in range(col, n_cols):
+                mat[i][j] = (mat[i][j] * piv - factor * mat[row][j]) // prev_piv
+        prev_piv = piv
+        rank += 1
+        row += 1
+        if row == n_rows:
+            break
+    return rank
+
+
+def _frac_rows(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+@pytest.fixture(scope="module")
+def weight_rows():
+    """(cyclic, alt-odd, duality) rows for N = 2..9."""
+    return {N: (cyclic_rows(N), altodd_rows(N), duality_rows(N)) for N in range(2, 10)}
 
 
 class TestZagierDim:
@@ -71,6 +122,75 @@ class TestRankOf:
         ]
         assert rank_of(rows) == 2
 
+    def test_certificate_is_exact(self):
+        rows = _frac_rows([[1, 0, 1, 2], [0, 1, 1, 3], [1, 1, 2, 5], [2, 1, 3, 7], [0, 0, 0, 0]])
+        cert = rank_certificate(rows)
+        assert cert.rank == 2 and not cert.transposed
+        assert cert.primes == (MERSENNE_61,) and cert.rejected == ()
+        assert len(cert.kernel) == 4 - cert.rank
+        ints = [[int(x) for x in row] for row in rows]
+        for vec in cert.kernel:
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in ints)
+
+    def test_transposed_kernel_relates_rows(self):
+        # fewer rows than columns: the kernel is a relation among the rows
+        rows = _frac_rows([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 1, 0]])
+        cert = rank_certificate(rows)
+        assert cert.rank == 2 and cert.transposed
+        (vec,) = cert.kernel
+        combo = [sum(c * row[j] for c, row in zip(vec, rows)) for j in range(5)]
+        assert not any(combo)
+
+    def test_bad_first_prime_is_rejected(self):
+        # the determinant is 2^61 - 1, so the rank drops mod the first prime
+        rows = _frac_rows([[1, 1], [1, 1 + MERSENNE_61]])
+        cert = rank_certificate(rows)
+        assert cert.rank == 2 == _bareiss_rank(rows)
+        assert cert.rejected == (MERSENNE_61,)
+        assert len(cert.primes) == 1 and cert.primes[0] < MERSENNE_61
+
+    def test_later_pivots_are_replaced(self):
+        # the first column vanishes mod 2^61 - 1 but the rank does not drop;
+        # the kernel vector (-1, p) only fits the pivots over Q
+        p = MERSENNE_61
+        rows = _frac_rows([[p, 1], [2 * p, 2], [3 * p, 3]])
+        cert = rank_certificate(rows)
+        assert cert.rank == 1 == _bareiss_rank(rows)
+        assert cert.pivots == (0,) and MERSENNE_61 in cert.rejected
+        (vec,) = cert.kernel
+        assert vec[1] == -p * vec[0]
+
+    def test_reconstruction_needs_several_primes(self):
+        # the echelon entry 5^30 / 3^40 needs a modulus above 2^134
+        a, b = 3**40, 5**30
+        rows = _frac_rows([[a, b], [2 * a, 2 * b], [-a, -b]])
+        cert = rank_certificate(rows)
+        assert cert.rank == 1 == _bareiss_rank(rows)
+        assert len(cert.primes) >= 3 and cert.rejected == ()
+        (vec,) = cert.kernel
+        assert a * vec[0] + b * vec[1] == 0
+
+    def test_large_denominators(self):
+        den = 10**40 + 7
+        r1 = [Fraction(1, den), Fraction(3, 7), Fraction(-5, den * 11), Fraction(0)]
+        r2 = [Fraction(2), Fraction(1, den**2), Fraction(0), Fraction(9, 13)]
+        x, y = Fraction(den + 2, 3**50), Fraction(-(2**70), den)
+        r3 = [x * a + y * b for a, b in zip(r1, r2)]
+        rows = [r1, r2, r3, [Fraction(0)] * 4]
+        assert rank_of(rows) == 2 == _bareiss_rank(rows)
+        rows.append([Fraction(1, den**3), Fraction(0), Fraction(1), Fraction(0)])
+        assert rank_of(rows) == 3 == _bareiss_rank(rows)
+
+    def test_input_rows_untouched(self):
+        rows = _frac_rows([[1, 2], [2, 4]])
+        rank_of(rows)
+        assert rows == _frac_rows([[1, 2], [2, 4]])
+
+    def test_agrees_with_bareiss_on_the_table(self, weight_rows):
+        for N, (cyc, alt, dual) in weight_rows.items():
+            for rows in (cyc, alt, dual, cyc + alt + dual):
+                assert rank_of(rows) == _bareiss_rank(rows), N
+
 
 class TestDuality:
     def test_counts_closed_form(self):
@@ -113,11 +233,11 @@ class TestCyclicFamily:
                         acc = acc + eval_mzv(comp, digits).mul_fraction(c)
                 assert acc.abs_at_most(Fraction(1, 10 ** (digits - 5)))
 
-    def test_rank_bound(self):
+    def test_rank_bound(self, weight_rows):
         # valid relations never exceed the expected rank, up to weight 9
         for N in range(4, 10):
-            rows = cyclic_rows(N) + altodd_rows(N) + duality_rows(N)
-            assert rank_of(rows) <= 2 ** (N - 2) - zagier_dim(N)
+            cyc, alt, dual = weight_rows[N]
+            assert rank_of(cyc + alt + dual) <= 2 ** (N - 2) - zagier_dim(N)
 
 
 class TestTableRows:
@@ -138,6 +258,21 @@ class TestTableRows:
         rows_a = cyclic_rows(N) + duality_rows(N) + altodd_rows(N)
         rows_b = altodd_rows(N) + duality_rows(N) + cyclic_rows(N)
         assert rank_of(rows_a) == rank_of(rows_b)
+
+    def test_bad_arguments_rejected(self):
+        for N in (1, 0, -1):
+            with pytest.raises(ValueError, match="weight"):
+                table_row(N)
+        for families in (("nope",), ("cyclic", ""), ("cyclic", "Duality")):
+            with pytest.raises(ValueError, match="unknown family"):
+                table_row(5, families)
+        with pytest.raises(ValueError, match="weight"):
+            RelationMatrix.build(1, ("duality",))
+
+    def test_matrix_basis_is_a_copy(self):
+        mat = RelationMatrix.build(5, ("duality",))
+        mat.basis.clear()
+        assert len(RelationMatrix.build(5, ("duality",)).basis) == 8
 
     def test_adding_duality_never_decreases(self):
         for N in (4, 5, 6):
