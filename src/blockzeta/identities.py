@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .lincomb import LinComb, PiRational, combine
-from .regalgebra import shuffle_product
+from .regalgebra import _compositions, shuffle_product
 from .words import (
     ONE,
     BlockDecomposition,
@@ -412,20 +412,13 @@ def gen_bbbl(bs: tuple[int, ...]) -> Identity:
 # composition sums and symmetrised families
 
 
-def _weak_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _weak_compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def gen_composition_sums(kind: str, m: int, n: int = 1) -> Identity:
     """Composition-sum families: Bowman-Bradley and the z1333 variants."""
+    if m < 0 or n < 0:
+        raise ValueError(f"composition sums need m, n >= 0, got m={m}, n={n}")
     if kind == "bowman-bradley":
         lhs = LinComb.zero()
-        for bs in _weak_compositions(m, 2 * n + 1):
+        for bs in _compositions(m, 2 * n + 1):
             lhs = lhs + LinComb.term(Zeta123Form(("1", "3") * n, bs).expand(), 1)
         wt = 4 * n + 2 * m
         rhs = PiRational(
@@ -435,7 +428,7 @@ def gen_composition_sums(kind: str, m: int, n: int = 1) -> Identity:
     if kind == "z1333-compsum":
         lhs = LinComb.zero()
         count = 0
-        for bs in _weak_compositions(m, 5):
+        for bs in _compositions(m, 5):
             lhs = lhs + gen_cyc123(Zeta123Form(("1", "3", "3", "3"), bs)).lhs
             count += 1
         # one lot of -pi^wt/(wt+1)! per composition of m into 5 parts

@@ -14,7 +14,7 @@ import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from . import series
 from .bigreal import BigReal, bits_for_digits, pi_power
@@ -315,7 +315,7 @@ def _em_tail(s: int, M: int, shift: int) -> tuple[int, int]:
         rising = 1
         for i in range(twoj - 1):
             rising *= s + i
-        q = B2j * rising / _fact(twoj)
+        q = B2j * rising / factorial(twoj)
         term = (one * q.numerator) // (q.denominator * M ** (s + twoj - 1))
         total += term
         err += 2
@@ -323,16 +323,9 @@ def _em_tail(s: int, M: int, shift: int) -> tuple[int, int]:
     rising = 1
     for i in range(7):
         rising *= s + i
-    rem = abs((one * B8.numerator * rising) // (B8.denominator * _fact(8) * M ** (s + 7)))
+    rem = abs((one * B8.numerator * rising) // (B8.denominator * factorial(8) * M ** (s + 7)))
     err += 2 * rem + 2
     return total, err
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _log_power_tail(a: int, s: int, M: int, factor: Fraction) -> Fraction:
@@ -347,7 +340,7 @@ def _log_power_tail(a: int, s: int, M: int, factor: Fraction) -> Fraction:
         total += (
             comb(a, i)
             * (1 + log_bound) ** (a - i)
-            * _fact(i)
+            * factorial(i)
             / Fraction((s - 1) ** (i + 1))
         )
     return factor * total / Fraction(M ** (s - 1))
@@ -368,7 +361,7 @@ def _inner_tail_envelope(args: tuple[int, ...]) -> tuple[Fraction, int, int]:
     s_out = args[-1]
     total = Fraction(0)
     for i in range(a + 1):
-        total += comb(a, i) * _fact(i) / Fraction((s_out - 1) ** (i + 1))
+        total += comb(a, i) * factorial(i) / Fraction((s_out - 1) ** (i + 1))
     # (1+ln m)^(a-i) <= (1+ln m)^a folded into the envelope exponent
     return base * total, a, s_out - 1
 

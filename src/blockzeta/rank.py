@@ -23,6 +23,7 @@ from .identities import (
 )
 from .lincomb import LinComb
 from .regalgebra import (
+    _compositions,
     pi_power_as_two_comp,
     regularise,
     stuffle_depth1,
@@ -146,13 +147,9 @@ def _necklace_representatives(total: int, parts: int) -> list[tuple[int, ...]]:
 
 
 def _compositions_pos(total: int, parts: int):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for head in range(1, total - parts + 2):
-        for rest in _compositions_pos(total - head, parts - 1):
-            yield (head,) + rest
+    """Compositions of `total` into `parts` positive entries, in lex order."""
+    for comp in _compositions(total - parts, parts):
+        yield tuple(x + 1 for x in comp)
 
 
 def cyclic_family(N: int) -> list[tuple[int, ...]]:

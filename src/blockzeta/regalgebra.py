@@ -11,7 +11,7 @@ at most one duality step re-exposes leading zeros.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .lincomb import LinComb, PiRational, combine
 from .words import ONE, Word, ZetaComposition, word_to_mzv
@@ -28,12 +28,8 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def divergence_relation(w: Word) -> LinComb:
-    """Expand a left-divergent word into words with a 1 after the bound.
-
-    Input shape: 0 0^k 1 0^{n1-1} ... 1 0^{nr-1} 1 with k >= 1, r >= 1.
-    Returns a combination equal to I(w); every output word starts 01.
-    """
+def _divergence_terms(w: Word) -> dict[Word, int]:
+    """Integer map behind divergence_relation; every output word starts 01."""
     letters = w.letters
     if letters[0] != 0 or letters[-1] != 1:
         raise ValueError(f"divergence relation needs bounds (0,1), got {w}")
@@ -58,7 +54,7 @@ def divergence_relation(w: Word) -> LinComb:
     ns.append(zeros + 1)
     r = len(ns)
     sign = -1 if k % 2 else 1
-    terms = []
+    terms = {}
     for inc in _compositions(k, r):
         coeff = sign
         for n_j, i_j in zip(ns, inc):
@@ -68,75 +64,100 @@ def divergence_relation(w: Word) -> LinComb:
             out.append(1)
             out.extend([0] * (n_j + i_j - 1))
         out.append(1)
-        terms.append((Word(tuple(out)), coeff))
-    return combine(terms)
+        terms[Word(tuple(out))] = coeff
+    return terms
 
 
-_REG_CACHE: dict[Word, LinComb] = {}
+def divergence_relation(w: Word) -> LinComb:
+    """Expand a left-divergent word into words with a 1 after the bound.
 
-
-def _expand_leading(w: Word) -> LinComb:
-    """Divergence-relation expansion until the first interior letter is 1.
-
-    Expects bounds (0, 1); equal-bound and pure-zero words are exactly 0.
+    Input shape: 0 0^k 1 0^{n1-1} ... 1 0^{nr-1} 1 with k >= 1, r >= 1.
+    Returns a combination equal to I(w); every output word starts 01.
     """
-    if w.letters[0] == w.letters[-1]:
-        return LinComb.zero()
-    if w.weight == 0:
-        return LinComb.term(w)
+    return combine(_divergence_terms(w).items())
+
+
+#: word -> {composition: integer coefficient}; shared, so read it only.
+_REG_CACHE: dict[Word, dict[ZetaComposition, int]] = {}
+
+
+def _expand_leading(w: Word) -> dict[Word, int]:
+    """Divergence expansion of a weight >= 1 word with bounds (0, 1).
+
+    A word with a 1 after its lower bound is its own expansion; a word
+    with an all-zero interior is a shuffle-power of I(0;0;1),
+    regularised to 0.
+    """
     if w.letters[1] == 1:
-        return LinComb.term(w)
-    if all(x == 0 for x in w.interior):
-        return LinComb.zero()  # shuffle-power of I(0;0;1), regularised to 0
-    return divergence_relation(w)
+        return {w: 1}
+    if 1 not in w.interior:
+        return {}
+    return _divergence_terms(w)
 
 
-def regularise_word(w: Word) -> LinComb:
-    """Shuffle-regularised value of I(w) as a combination of compositions.
+def _regularise_word(w: Word) -> dict[ZetaComposition, int]:
+    """Regularised I(w) as an integer map, memoised in _REG_CACHE.
 
-    Follows the five regularisation steps literally: normalise bounds,
-    expand leading zeros, dualise every term, expand again, read MZVs.
+    For bounds (0, 1) the five-step procedure factors as follows.  A word
+    u with a 1 after its lower bound is its own divergence expansion, so
+    reg(u) dualises u, expands again and reads off compositions; a
+    left-divergent word is the sum of c_u reg(u) over its expansion, and
+    each reg(u) is cached under u.
     """
     cached = _REG_CACHE.get(w)
     if cached is not None:
         return cached
     letters = w.letters
+    sign = -1 if w.weight % 2 else 1
     if w.weight == 0:
-        result = LinComb.term(ONE)  # the unit integral
+        result = {ONE: 1}  # the unit integral
     elif letters[0] == letters[-1]:
-        result = LinComb.zero()
+        result = {}
     elif letters[0] == 1:
         # reversal of paths onto bounds (0, 1)
-        sign = -1 if w.weight % 2 else 1
-        result = regularise_word(w.reversed()) * sign
+        result = {comp: sign * n for comp, n in _regularise_word(w.reversed()).items()}
+    elif letters[1] == 1:
+        result = {}
+        for v, n in _expand_leading(w.dual()).items():
+            comp, mzv_sign = word_to_mzv(v)
+            result[comp] = sign * mzv_sign * n
     else:
-        dual_sign = -1 if w.weight % 2 else 1
-
-        def dualise(u: Word) -> LinComb:
-            return _expand_leading(u.dual()) * dual_sign
-
-        def read_off(v: Word) -> LinComb:
-            if v.weight == 0:
-                return LinComb.term(ONE)
-            comp, sign = word_to_mzv(v)
-            return LinComb.term(comp, sign)
-
-        result = _expand_leading(w).map_terms(dualise).map_terms(read_off)
+        acc: dict[ZetaComposition, int] = {}
+        for u, c_u in _expand_leading(w).items():
+            for comp, n in _regularise_word(u).items():
+                acc[comp] = acc.get(comp, 0) + c_u * n
+        result = {comp: n for comp, n in acc.items() if n}
     _REG_CACHE[w] = result
     return result
 
 
+def regularise_word(w: Word) -> LinComb:
+    """Shuffle-regularised value of I(w) as a combination of compositions.
+
+    Normalises the bounds, expands leading zeros with the divergence
+    relation, dualises, expands again and reads off MZVs.
+    """
+    return LinComb(_regularise_word(w))
+
+
 def regularise(c: LinComb) -> LinComb:
-    """Linear extension of regularise_word; composition keys pass through."""
+    """Linear extension of regularise_word; composition keys pass through.
 
-    def per_term(key):
+    Coefficients are summed per (composition, pi exponent); combine
+    rejects a composition left with two pi exponents.
+    """
+    sums: dict[tuple[ZetaComposition, int], Fraction] = {}
+    for key, coeff in c.items():
         if isinstance(key, Word):
-            return regularise_word(key)
-        if isinstance(key, ZetaComposition):
-            return LinComb.term(key)
-        raise TypeError(f"cannot regularise term of type {type(key).__name__}")
-
-    return c.map_terms(per_term)
+            expansion = _regularise_word(key).items()
+        elif isinstance(key, ZetaComposition):
+            expansion = ((key, 1),)
+        else:
+            raise TypeError(f"cannot regularise term of type {type(key).__name__}")
+        for comp, n in expansion:
+            slot = (comp, coeff.pi_exp)
+            sums[slot] = sums.get(slot, 0) + coeff.coeff * n
+    return combine((comp, PiRational(q, pi_exp)) for (comp, pi_exp), q in sums.items())
 
 
 def shuffle_interiors(u: tuple[int, ...], v: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -209,7 +230,7 @@ def zeta_even_coeff(k: int) -> PiRational:
         raise ValueError("zeta_even_coeff needs k >= 1")
     sign = 1 if k % 2 else -1
     q = Fraction(sign) * bernoulli(2 * k) * Fraction(2 ** (2 * k - 1)) / Fraction(
-        _factorial(2 * k)
+        factorial(2 * k)
     )
     return PiRational(q, 2 * k)
 
@@ -220,14 +241,7 @@ def zeta_two_power(m: int) -> PiRational:
         raise ValueError("need m >= 0")
     if m == 0:
         return PiRational(Fraction(1))
-    return PiRational(Fraction(1, _factorial(2 * m + 1)), 2 * m)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return PiRational(Fraction(1, factorial(2 * m + 1)), 2 * m)
 
 
 def pi_power_as_two_comp(pi_exp: int) -> tuple[ZetaComposition, Fraction]:
@@ -235,4 +249,4 @@ def pi_power_as_two_comp(pi_exp: int) -> tuple[ZetaComposition, Fraction]:
     if pi_exp % 2:
         raise ValueError("pi exponent must be even")
     m = pi_exp // 2
-    return ZetaComposition((2,) * m), Fraction(_factorial(2 * m + 1))
+    return ZetaComposition((2,) * m), Fraction(factorial(2 * m + 1))

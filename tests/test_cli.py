@@ -135,6 +135,8 @@ class TestKernelAndTable:
             (("rank", "--weight", "1", "--matrix"), "weight must be at least 2"),
             (("rank", "--weight", "5", "--families", "nope"), "unknown family 'nope'"),
             (("rank", "--weight", "5", "--families", "cyclic,"), "unknown family ''"),
+            (("generate", "bowman-bradley", "--n", "-1", "--m", "2"), "m, n >= 0"),
+            (("generate", "bowman-bradley", "--n", "1", "--m", "-1"), "m, n >= 0"),
         ],
     )
     def test_bad_table_input_exit_2(self, capsys, argv, message):

@@ -277,6 +277,19 @@ class TestCompositionSums:
         with pytest.raises(ValueError):
             gen_composition_sums("further-13332n", m=1)
 
+    @pytest.mark.parametrize(
+        "kind, m, n",
+        [
+            ("bowman-bradley", 2, -1),
+            ("bowman-bradley", -1, 1),
+            ("z1333-compsum", -1, 1),
+            ("further-13332n", 2, -1),
+        ],
+    )
+    def test_rejects_negative_parameters(self, kind, m, n):
+        with pytest.raises(ValueError, match="m, n >= 0"):
+            gen_composition_sums(kind, m=m, n=n)
+
     def test_z13312_sym_degenerate(self):
         ident = gen_sym_family("z13312-sym", {"b": (0, 0, 0, 0, 0)})
         assert ident.rhs == PiRational(Fraction(-24, factorial(11)), 10)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockzeta.lincomb import LinComb, PiRational
+from blockzeta.lincomb import LinComb, PiRational, TensorTerm
 from blockzeta.regalgebra import (
     bernoulli,
     divergence_relation,
@@ -17,7 +17,7 @@ from blockzeta.regalgebra import (
     zeta_even_coeff,
     zeta_two_power,
 )
-from blockzeta.words import ONE, all_words, word, zc
+from blockzeta.words import ONE, Word, ZetaComposition, all_words, word, word_to_mzv, zc
 
 
 def brute_shuffles(u, v):
@@ -35,6 +35,57 @@ def brute_shuffles(u, v):
         key = tuple(merged)
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def _reference_expand_leading(w):
+    """Divergence expansion until the first interior letter is 1."""
+    if w.letters[0] == w.letters[-1]:
+        return LinComb.zero()
+    if w.weight == 0 or w.letters[1] == 1:
+        return LinComb.term(w)
+    if all(x == 0 for x in w.interior):
+        return LinComb.zero()  # shuffle-power of I(0;0;1), regularised to 0
+    return divergence_relation(w)
+
+
+def _reference_regularise_word(w):
+    """Oracle: the five regularisation steps, literally, without a cache.
+
+    Normalise bounds, expand leading zeros, dualise every term, expand
+    again, read MZVs.
+    """
+    letters = w.letters
+    if w.weight == 0:
+        return LinComb.term(ONE)
+    if letters[0] == letters[-1]:
+        return LinComb.zero()
+    sign = -1 if w.weight % 2 else 1
+    if letters[0] == 1:
+        return _reference_regularise_word(w.reversed()) * sign
+
+    def dualise(u):
+        return _reference_expand_leading(u.dual()) * sign
+
+    def read_off(v):
+        if v.weight == 0:
+            return LinComb.term(ONE)
+        comp, mzv_sign = word_to_mzv(v)
+        return LinComb.term(comp, mzv_sign)
+
+    return _reference_expand_leading(w).map_terms(dualise).map_terms(read_off)
+
+
+def _reference_regularise(c):
+    """Oracle: the linear extension of _reference_regularise_word."""
+
+    def per_term(key):
+        if isinstance(key, Word):
+            return _reference_regularise_word(key)
+        if isinstance(key, ZetaComposition):
+            return LinComb.term(key)
+        raise TypeError(f"cannot regularise term of type {type(key).__name__}")
+
+    return c.map_terms(per_term)
 
 
 class TestDivergenceRelation:
@@ -107,6 +158,45 @@ class TestRegularise:
             for w in all_words(L):
                 for comp, _ in regularise_word(w).items():
                     assert comp.is_convergent
+
+    def test_matches_reference_for_every_short_word(self):
+        bounds = set()
+        for L in range(2, 11):
+            for w in all_words(L):
+                assert regularise_word(w) == _reference_regularise_word(w), w
+                bounds.add((w.letters[0], w.letters[-1]))
+        assert bounds == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    def test_mixed_keys_match_reference(self):
+        comb = LinComb(
+            {
+                word("0010111"): PiRational(Fraction(3)),
+                word("1101000"): PiRational(Fraction(-7, 2)),
+                word("0011"): PiRational(Fraction(5, 3), 4),
+                word("010"): PiRational(Fraction(2)),
+                zc(2, 3): PiRational(Fraction(-6)),  # cancels 3 * 2 zeta(2,3)
+                zc(3, 2): PiRational(Fraction(1, 4)),
+                zc(3): PiRational(Fraction(-2, 9), 2),
+                ONE: PiRational(Fraction(1, 5), 6),
+            }
+        )
+        out = regularise(comb)
+        assert out == _reference_regularise(comb)
+        assert zc(2, 3) not in out.keys()
+        assert out.get(zc(3)) == PiRational(Fraction(-2, 9), 2)
+
+    def test_two_pi_exponents_on_one_key(self):
+        # regularise_word(0101) = -zeta(2)
+        comb = LinComb({word("0101"): PiRational(Fraction(1), 2), zc(2): PiRational(Fraction(1))})
+        for fn in (regularise, _reference_regularise):
+            with pytest.raises(ValueError):
+                fn(comb)
+
+    def test_rejects_tensor_keys(self):
+        comb = LinComb({TensorTerm(word("01"), word("0101"), 0): PiRational(Fraction(1))})
+        for fn in (regularise, _reference_regularise):
+            with pytest.raises(TypeError):
+                fn(comb)
 
     def test_linearity(self):
         a, b = word("0010111"), word("00101")
