@@ -166,7 +166,7 @@ class LinComb:
 
     def map_terms(self, fn: Callable[[TermKey], "LinComb"]) -> "LinComb":
         """Linear extension of a map term -> LinComb."""
-        return _summed(
+        return combine(
             (key, c * v) for k, v in self._terms.items() for key, c in fn(k).items()
         )
 
@@ -184,12 +184,6 @@ class LinComb:
 
 def combine(terms: Iterable[tuple[TermKey, object]]) -> LinComb:
     """Sum an iterable of (key, coefficient) pairs into one combination."""
-    return _summed(terms)
-
-
-def _summed(terms: Iterable[tuple[TermKey, object]]) -> LinComb:
-    """The sum behind combine; map_terms calls it directly, so a wrapped
-    combine (perfbench/layers.py) counts only combine's own callers."""
     out: dict[TermKey, PiRational] = {}
     for k, c in terms:
         c = _as_coeff(c)

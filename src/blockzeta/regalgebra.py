@@ -3,9 +3,10 @@
 regularise() implements the five-step procedure: normalise the bounds by
 path reversal, kill equal-bound words, expand leading zeros with the
 divergence relation, dualise to fix the right end, expand again, then
-read off MZV compositions.  The recursion terminates because each
-divergence expansion yields words with a 1 next to the lower bound, and
-at most one duality step re-exposes leading zeros.
+read off MZV compositions.  It runs on integer coefficient maps memoised
+per word, and converts to PiRational only for its output.  The recursion
+terminates because each divergence expansion yields words with a 1 next
+to the lower bound, and at most one duality step re-exposes leading zeros.
 """
 
 from __future__ import annotations
