@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .identities import cyclic_sum, has_cyclic_adjacent_ones
 from .lincomb import LinComb, TensorTerm, combine
 from .words import BlockDecomposition, Word, block_decompose, word_of
 
@@ -107,6 +108,8 @@ def kernel_report(c: LinComb) -> KernelReport:
     if len(weights) > 1:
         raise ValueError(f"mixed weights {sorted(weights)} in kernel input")
     N = weights.pop() if weights else 0
+    if N < 2 and not c.is_zero:
+        raise ValueError(f"kernel check needs weight >= 2, got weight {N}")
     residue = d_less_than_N(c)
     return KernelReport(residue.is_zero, residue, N)
 
@@ -155,8 +158,6 @@ def stability_shape(lengths: tuple[int, ...], r: int) -> StabilityReport:
     report = StabilityReport(lengths, r)
     if n == 1:
         return report  # nothing to group; trivially stable
-    from .identities import cyclic_sum  # local import to avoid a cycle
-
     tensors = d_r(cyclic_sum(lengths), r)
     grouped: dict[Word, dict[tuple[int, ...], dict[Word, int]]] = {}
     for term, coeff in tensors.items():
@@ -209,7 +210,7 @@ def collapse_cyclic_rights(tensors: LinComb) -> LinComb:
         grouped.setdefault((term.left, term.grade), {}).setdefault(
             _orbit_rep(b), {}
         )[term.right] = coeff
-    out = LinComb.zero()
+    terms = []
     for (left, grade), orbits in grouped.items():
         for rep, quots in orbits.items():
             k = len(rep)
@@ -218,17 +219,16 @@ def collapse_cyclic_rights(tensors: LinComb) -> LinComb:
                 word_of(BlockDecomposition(eps, rep[i:] + rep[:i])) for i in range(k)
             }
             coeffs = set(quots.values())
-            adjacent_ones = any(
-                rep[i] == 1 and rep[(i + 1) % k] == 1 for i in range(k)
-            )
-            if set(quots) == orbit_words and len(coeffs) == 1 and not adjacent_ones:
-                weight = sum(rep) - 2
-                collapsed = word_of(BlockDecomposition(eps, (weight + 2,)))
+            if (
+                set(quots) == orbit_words
+                and len(coeffs) == 1
+                and not has_cyclic_adjacent_ones(rep)
+            ):
+                collapsed = word_of(BlockDecomposition(eps, (sum(rep),)))
                 if not collapsed.is_trivial:
-                    out = out + LinComb.term(
-                        TensorTerm(left, collapsed, grade), coeffs.pop()
-                    )
+                    terms.append((TensorTerm(left, collapsed, grade), coeffs.pop()))
             else:
-                for right, c in quots.items():
-                    out = out + LinComb.term(TensorTerm(left, right, grade), c)
-    return out
+                terms.extend(
+                    (TensorTerm(left, right, grade), c) for right, c in quots.items()
+                )
+    return combine(terms)

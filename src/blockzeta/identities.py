@@ -55,6 +55,8 @@ class Identity:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown identity family {self.family!r}")
         for key, coeff in self.lhs.items():
+            if not isinstance(key, (Word, ZetaComposition)):
+                raise ValueError(f"identity terms are words or zeta values, got {key}")
             total = key.weight + coeff.pi_exp
             if total != self.weight:
                 raise ValueError(
@@ -103,7 +105,20 @@ def cyclic_sum(lengths: tuple[int, ...]) -> LinComb:
     return combine((block_word(rot), 1) for rot in _rotations(tuple(lengths)))
 
 
-def _has_cyclic_adjacent_ones(lengths: tuple[int, ...]) -> bool:
+def cyclic_head(lengths: tuple[int, ...]) -> LinComb:
+    """The cyclic sum minus I_bl(N+2), shared by every cyclic relation.
+
+    At odd weight N the block integral I_bl(N+2) is trivial, hence 0.
+    """
+    N = sum(lengths) - 2
+    head = cyclic_sum(lengths)
+    if N % 2 == 0:
+        head = head - LinComb.term(block_word((N + 2,)), 1)
+    return head
+
+
+def has_cyclic_adjacent_ones(lengths: tuple[int, ...]) -> bool:
+    """Whether two cyclically neighbouring lengths are both 1."""
     n = len(lengths)
     return any(lengths[i] == 1 and lengths[(i + 1) % n] == 1 for i in range(n))
 
@@ -141,17 +156,16 @@ def gen_cyclic_basic(lengths) -> Identity:
     if len(lengths) < 2:
         raise ValueError("cyclic insertion on a single block is a tautology")
     B = _nontrivial_block(lengths)
-    if _has_cyclic_adjacent_ones(lengths):
+    if has_cyclic_adjacent_ones(lengths):
         raise ValueError(
             f"{lengths} has cyclically adjacent (1,1); use the full version"
         )
-    N = B.weight
-    lhs = cyclic_sum(lengths)
-    if N % 2 == 0:
-        lhs = lhs - LinComb.term(block_word((N + 2,)), 1)
-    # odd N: I_bl(N+2) is trivial, hence exactly 0
     return Identity(
-        "cyclic-basic", {"lengths": lengths}, N, lhs, PiRational(Fraction(0))
+        "cyclic-basic",
+        {"lengths": lengths},
+        B.weight,
+        cyclic_head(lengths),
+        PiRational(Fraction(0)),
     )
 
 
@@ -177,9 +191,7 @@ def gen_cyclic_full(lengths, mode: str = "transcendental") -> Identity:
     B = _nontrivial_block(lengths)
     N = B.weight
     n = len(lengths)
-    lhs = cyclic_sum(lengths)
-    if N % 2 == 0:
-        lhs = lhs - LinComb.term(block_word((N + 2,)), 1)
+    lhs = cyclic_head(lengths)
     for k in range(1, n // 2 + 1):
         ms = compute_Lk(lengths, 2 * k)
         if not ms:

@@ -24,6 +24,7 @@ from .words import ONE, Word, ZetaComposition, mzv_to_word
 
 DEFAULT_DIGITS = 50
 MAX_DIGITS = 2000  # ceiling: quadratic cost makes more impractical here
+MAX_WEIGHT = 200  # ceiling: pi^N and the weight-N series grow with N
 _TAIL_EXTRA = 8  # truncation order M = bits + _TAIL_EXTRA
 _SCALE_EXTRA = 16  # coefficient scale F = bits + _SCALE_EXTRA
 
@@ -227,6 +228,10 @@ def verify(identity, digits: int = DEFAULT_DIGITS, max_den: int = 10**6) -> Veri
     rational recognition of lhs / zeta(N) instead, with denominators up
     to max_den.
     """
+    if identity.weight > MAX_WEIGHT:
+        raise ValueError(
+            f"weight {identity.weight} beyond the configured ceiling {MAX_WEIGHT}"
+        )
     t0 = time.monotonic()
     threshold = Fraction(1, 10**digits)
     if identity.rhs is None:

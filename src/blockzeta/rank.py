@@ -18,8 +18,9 @@ from .identities import (
     Identity,
     alt_sum,
     compute_Lk,
-    cyclic_sum,
+    cyclic_head,
     gen_altodd_odd,
+    has_cyclic_adjacent_ones,
 )
 from .lincomb import LinComb
 from .regalgebra import (
@@ -34,6 +35,7 @@ from .words import (
     ONE,
     BlockDecomposition,
     ZetaComposition,
+    block_decompose,
     convergent_words,
     word_of,
     word_to_mzv,
@@ -100,11 +102,8 @@ def identity_vector(ident: Identity) -> list[Fraction]:
 def cyclic_row(lengths: tuple[int, ...], N: int) -> list[Fraction]:
     """Full-conjecture relation vector via the stuffle product route."""
     lengths = tuple(lengths)
-    comb = cyclic_sum(lengths)
-    if N % 2 == 0:
-        comb = comb - LinComb.term(word_of(BlockDecomposition(0, (N + 2,))), 1)
     index = _basis_index(N)
-    vec = vectorize(comb, N)
+    vec = vectorize(cyclic_head(lengths), N)
     n = len(lengths)
     for k in range(1, n // 2 + 1):
         ms = compute_Lk(lengths, 2 * k)
@@ -190,14 +189,9 @@ def _some_term_has_adjacent_ones(comb: LinComb) -> bool:
     This is the documented failure zone of the alternation identities;
     the relation sweep stays clear of it.
     """
-    from .words import block_decompose
-
-    for w, _ in comb.items():
-        ls = block_decompose(w).lengths
-        n = len(ls)
-        if any(ls[i] == 1 and ls[(i + 1) % n] == 1 for i in range(n)):
-            return True
-    return False
+    return any(
+        has_cyclic_adjacent_ones(block_decompose(w).lengths) for w in comb.keys()
+    )
 
 
 def altodd_even_family(N: int) -> list[tuple[int, ...]]:

@@ -12,21 +12,29 @@ to the lower bound, and at most one duality step re-exposes leading zeros.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, factorial
+from operator import sub
 
 from .lincomb import LinComb, PiRational, combine
 from .words import ONE, Word, ZetaComposition, word_to_mzv
 
 
 def _compositions(total: int, parts: int):
-    """Weak compositions of `total` into `parts` non-negative entries."""
+    """Weak compositions of `total` into `parts` non-negative entries.
+
+    Stars and bars, in lexicographic order: the parts - 1 running sums
+    of the leading entries are a non-decreasing sequence of cut points
+    in 0..total, and each entry is the gap between neighbouring cuts.
+    """
+    if total < 0:
+        return
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def _divergence_terms(w: Word) -> dict[Word, int]:

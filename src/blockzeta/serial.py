@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 from .identities import Identity
-from .lincomb import LinComb, PiRational, TensorTerm
+from .lincomb import LinComb, PiRational, TensorTerm, combine
 from .words import ParseError, Word, ZetaComposition
 
 
@@ -21,6 +21,8 @@ def term_to_string(key) -> tuple[str, str]:
 
 
 def term_from_string(kind: str, text: str):
+    if not isinstance(text, str):
+        raise ValueError(f"term text must be a string, got {type(text).__name__}")
     if kind == "word":
         return Word.parse(text)
     if kind == "zeta":
@@ -48,16 +50,47 @@ def lincomb_to_json(c: LinComb) -> list[dict]:
     return out
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _field(record: dict, key: str):
+    value = record.get(key)
+    if value is None:
+        raise ValueError(f"missing or null key {key!r}")
+    return value
+
+
+def _int(value) -> int:
+    """An integer field, written as a JSON integer or a decimal string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {type(value).__name__}")
+    return int(value)
+
+
+def _fraction(record: dict, num: str, den: str) -> Fraction:
+    n, d = _int(_field(record, num)), _int(_field(record, den))
+    if d == 0:
+        raise ValueError(f"zero denominator {den!r}")
+    return Fraction(n, d)
+
+
 def lincomb_from_json(items: list[dict]) -> LinComb:
-    out = LinComb.zero()
-    for item in items:
-        key = term_from_string(item["term_kind"], item["term"])
-        coeff = PiRational(
-            Fraction(int(item["coeff_num"]), int(item["coeff_den"])),
-            int(item.get("pi_exp", 0)),
+    if not isinstance(items, list):
+        raise ValueError(
+            f"a combination must be a JSON list, got {type(items).__name__}"
         )
-        out = out + LinComb.term(key, coeff)
-    return out
+    return combine(_term_from_json(_object(item, "a term")) for item in items)
+
+
+def _term_from_json(item: dict):
+    key = term_from_string(_field(item, "term_kind"), _field(item, "term"))
+    coeff = PiRational(
+        _fraction(item, "coeff_num", "coeff_den"), _int(item.get("pi_exp", 0))
+    )
+    return key, coeff
 
 
 UNKNOWN_RHS = "unknown-zeta-multiple"
@@ -88,21 +121,22 @@ def _plain(v):
 
 
 def identity_from_json(data: dict) -> Identity:
-    rhs = data["rhs"]
+    data = _object(data, "an identity record")
+    rhs = _field(data, "rhs")
     if rhs == UNKNOWN_RHS:
         rhs_val = None
     else:
-        rhs_val = PiRational(
-            Fraction(int(rhs["num"]), int(rhs["den"])), int(rhs["pi_exp"])
-        )
+        rhs = _object(rhs, "rhs")
+        rhs_val = PiRational(_fraction(rhs, "num", "den"), _int(_field(rhs, "pi_exp")))
     params = {
-        k: tuple(v) if isinstance(v, list) else v for k, v in data["params"].items()
+        k: tuple(v) if isinstance(v, list) else v
+        for k, v in _object(_field(data, "params"), "params").items()
     }
     return Identity(
-        family=data["family"],
+        family=_field(data, "family"),
         params=params,
-        weight=int(data["weight"]),
-        lhs=lincomb_from_json(data["lhs"]),
+        weight=_int(_field(data, "weight")),
+        lhs=lincomb_from_json(_field(data, "lhs")),
         rhs=rhs_val,
     )
 

@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blockzeta
 from blockzeta.cli import run
@@ -15,6 +17,19 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# one well-formed identity record: zeta(2) = pi^2 / 6
+TERM = {
+    "term_kind": "zeta", "term": "z(2)", "coeff_num": "1", "coeff_den": "1", "pi_exp": 0
+}
+RHS = {"num": "1", "den": "6", "pi_exp": 2}
+RECORD = {"family": "cyclic-basic", "params": {}, "weight": 2, "lhs": [TERM], "rhs": RHS}
+
+
+def record(**changes) -> str:
+    """The record above with some keys replaced, as one JSON line."""
+    return json.dumps({**RECORD, **changes})
 
 
 class TestConversions:
@@ -137,13 +152,68 @@ class TestKernelAndTable:
             (("rank", "--weight", "5", "--families", "cyclic,"), "unknown family ''"),
             (("generate", "bowman-bradley", "--n", "-1", "--m", "2"), "m, n >= 0"),
             (("generate", "bowman-bradley", "--n", "1", "--m", "-1"), "m, n >= 0"),
+            (("verify", "<", "{}"), "missing or null key 'rhs'"),
+            (("verify", "<", "[1]"), "an identity record must be a JSON object"),
+            (("verify", "<", record(weight=None)), "missing or null key 'weight'"),
+            (("verify", "<", record(params=[])), "params must be a JSON object"),
+            (
+                ("verify", "<", record(lhs=[{**TERM, "coeff_den": "0"}])),
+                "zero denominator 'coeff_den'",
+            ),
+            (("verify", "<", record(rhs={**RHS, "den": "0"})), "zero denominator 'den'"),
+            (("verify", "<", record(rhs=None)), "missing or null key 'rhs'"),
+            (("dkernel", "--lengths", "2"), "needs weight >= 2, got weight 0"),
+            (("dkernel", "--lengths", "1,2"), "needs weight >= 2, got weight 1"),
         ],
     )
-    def test_bad_table_input_exit_2(self, capsys, argv, message):
+    def test_bad_table_input_exit_2(self, capsys, monkeypatch, argv, message):
+        if "<" in argv:  # what follows "<" is fed on stdin, as a shell would
+            argv, stdin = argv[: argv.index("<")], argv[-1]
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code, out, err = invoke(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+
+def _verify_exit_code(line: str) -> int:
+    """Exit code of `verify` fed one stdin line; output is discarded."""
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(line)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return run(["verify", "--digits", "15"])
+    finally:
+        sys.stdin = stdin
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def near(value):
+    """`value`, with any part of it (itself included) possibly arbitrary JSON."""
+    if isinstance(value, dict):
+        exact = st.fixed_dictionaries({k: near(v) for k, v in value.items()})
+    elif isinstance(value, list):
+        exact = st.lists(near(value[0]), max_size=2)
+    else:
+        exact = st.just(value)
+    return exact | JSON_VALUES
+
+
+class TestVerifyInputFuzz:
+    def test_well_formed_record_verifies(self):
+        assert _verify_exit_code(record()) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(near(RECORD))
+    def test_arbitrary_json_exits_0_1_or_2(self, value):
+        assert _verify_exit_code(json.dumps(value)) in (0, 1, 2)
 
 
 def _module_run(*argv):

@@ -114,6 +114,12 @@ class TestDerivation:
 
 
 class TestKernelReport:
+    def test_rejects_weight_below_two(self):
+        for lengths in ((2,), (1, 2)):
+            with pytest.raises(ValueError, match="needs weight >= 2"):
+                kernel_report(closure_comb(reflective_closure([blocks(0, *lengths)])))
+        assert kernel_report(LinComb.zero()).vanishes  # nothing to claim
+
     def test_reflective_closure_vanishes(self):
         S = reflective_closure([blocks(0, 2, 3, 3)])
         rep = kernel_report(closure_comb(S))

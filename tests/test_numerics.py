@@ -6,7 +6,7 @@ import pytest
 
 from blockzeta.bigreal import BigReal, bits_for_digits, pi_bigreal, pi_power
 from blockzeta.identities import Identity, gen_symmetric
-from blockzeta.lincomb import PiRational
+from blockzeta.lincomb import LinComb, PiRational
 from blockzeta.numerics import (
     EvalCache,
     eval_lincomb,
@@ -197,6 +197,16 @@ class TestVerify:
         resid = rep.residual
         assert (resid - z2z3 - z2z3).abs_at_most(Fraction(1, 10**28))
 
+    def test_weight_ceiling(self):
+        from blockzeta.numerics import MAX_WEIGHT
+
+        huge = Identity(
+            "cyclic-basic", {}, MAX_WEIGHT + 2, LinComb.zero(),
+            PiRational(Fraction(1), MAX_WEIGHT + 2),
+        )
+        with pytest.raises(ValueError, match="beyond the configured ceiling"):
+            verify(huge, 15)
+
     def test_unknown_rhs_via_recognition(self):
         ident = gen_symmetric(blocks(0, 2, 3, 3))
         rep = verify(ident, 40)
@@ -250,20 +260,63 @@ class TestCacheFile:
 
 
 class TestKernels:
-    def test_both_kernels_agree(self):
-        from blockzeta.series import available_kernels
+    """The fixed-point series kernel behind eval_word."""
 
-        kernels = available_kernels()
-        if len(kernels) < 2:
-            pytest.skip("compiled kernel not built")
-        M, F = 80, 120
-        py = kernels["python"]
-        cy = kernels["cython"]
-        Cp = py.g_init(M, F)
-        Cc = cy.g_init(M, F)
-        assert Cp == Cc
-        for bit in (0, 1, 1, 0):
-            Cp = py.g_append(Cp, bit, M, F)
-            Cc = cy.g_append(Cc, bit, M, F)
-            assert Cp == Cc
-        assert py.g_value(Cp, M, F) == cy.g_value(Cc, M, F)
+    M, F = 80, 120
+    LETTERS = (0, 1, 1, 0)
+
+    def _run(self):
+        from blockzeta import series
+
+        C = series.g_init(self.M, self.F)
+        values = [series.g_value(C, self.M, self.F)]
+        for bit in self.LETTERS:
+            C = series.g_append(C, bit, self.M, self.F)
+            values.append(series.g_value(C, self.M, self.F))
+        return C, values
+
+    def test_fixed_values(self):
+        from blockzeta import series
+
+        assert series.KERNEL == "python"
+        C, values = self._run()
+        assert values == [
+            -921350637599661305226344294259947292,
+            -773930408057842841941170992618181536,
+            284550988480077132789821319587823097,
+            -67679988249033125992792144362013867,
+            -17633844045851680039498379181949603,
+        ]
+        assert C[1:6] == [
+            0,
+            0,
+            -73845999765828659605767058904463588,
+            -76153687258510805218447279495228075,
+            -66830629788074936943219188308539547,
+        ]
+        assert C[self.M] == -1195438842141846629372485687247700
+        assert sum(C) == -823482540903065334335003295141026424
+
+    def test_matches_exact_truncated_series(self):
+        # the same truncated series in exact arithmetic: letter 0 divides
+        # c_n by n, letter 1 is d_{m+1} = -(c_1 + ... + c_m)/(m+1)
+        M, F = self.M, self.F
+        C = [Fraction(0)] + [Fraction(-1, n) for n in range(1, M + 1)]
+        exact = [C]
+        for bit in self.LETTERS:
+            D = [Fraction(0)] * (M + 1)
+            if bit == 0:
+                for n in range(1, M + 1):
+                    D[n] = C[n] / n
+            else:
+                s = Fraction(0)
+                for m in range(1, M):
+                    s += C[m]
+                    D[m + 1] = -s / (m + 1)
+            C = D
+            exact.append(C)
+        _, values = self._run()
+        for k, (coeffs, value) in enumerate(zip(exact, values), start=1):
+            target = sum(c / 2**n for n, c in enumerate(coeffs)) * 2**F
+            # eval_word budgets k + 3 ulps for a factor of k letters
+            assert abs(value - target) <= k + 3

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockzeta.lincomb import LinComb, PiRational, TensorTerm
 from blockzeta.regalgebra import (
+    _compositions,
     bernoulli,
     divergence_relation,
     pi_power_as_two_comp,
@@ -35,6 +36,17 @@ def brute_shuffles(u, v):
         key = tuple(merged)
         out[key] = out.get(key, 0) + 1
     return out
+
+
+def _recursive_compositions(total, parts):
+    """Oracle: weak compositions by recursion on the first entry."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for rest in _recursive_compositions(total - head, parts - 1):
+            yield (head,) + rest
 
 
 def _reference_expand_leading(w):
@@ -86,6 +98,20 @@ def _reference_regularise(c):
         raise TypeError(f"cannot regularise term of type {type(key).__name__}")
 
     return c.map_terms(per_term)
+
+
+class TestCompositions:
+    def test_matches_recursive_oracle(self):
+        for total in range(-1, 12):
+            for parts in range(0, 12):
+                expected = list(_recursive_compositions(total, parts))
+                assert list(_compositions(total, parts)) == expected, (total, parts)
+
+    def test_small_cases(self):
+        assert list(_compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+        assert list(_compositions(0, 0)) == [()]
+        assert list(_compositions(1, 0)) == []
+        assert list(_compositions(-1, 3)) == []
 
 
 class TestDivergenceRelation:

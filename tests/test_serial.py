@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from blockzeta.derivation import d_r
 from blockzeta.identities import cyclic_sum, gen_cyclic_full, gen_hoffman, gen_symmetric
 from blockzeta.lincomb import LinComb, PiRational, TensorTerm
@@ -70,3 +72,44 @@ class TestLatex:
         comb = LinComb.term(TensorTerm(word("01011"), word("0101"), 3))
         text = lincomb_to_latex(comb)
         assert "\\otimes" in text and "\\mathfrak{L}" in text
+
+
+class TestJsonInput:
+    RECORD = {
+        "family": "cyclic-basic",
+        "params": {},
+        "weight": 2,
+        "lhs": [{"term_kind": "zeta", "term": "z(2)", "coeff_num": "1", "coeff_den": "1"}],
+        "rhs": {"num": "1", "den": "6", "pi_exp": 2},
+    }
+
+    def test_well_formed(self):
+        ident = identity_from_json(self.RECORD)
+        assert ident.lhs == LinComb.term(zc(2)) and ident.rhs == PiRational(Fraction(1, 6), 2)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"lhs": {}}, "a combination must be a JSON list"),
+            ({"lhs": [[]]}, "a term must be a JSON object"),
+            ({"lhs": [{"term_kind": "zeta", "term": 2}]}, "term text must be a string"),
+            ({"weight": 2.0}, "expected an integer, got float"),
+            ({"weight": True}, "expected an integer, got bool"),
+            ({"rhs": {"num": "1", "den": "6"}}, "missing or null key 'pi_exp'"),
+            ({"rhs": "1/6"}, "rhs must be a JSON object"),
+            (
+                {"lhs": [{"term_kind": "tensor", "term": "0101(x)01@3",
+                          "coeff_num": "1", "coeff_den": "1"}]},
+                "identity terms are words or zeta values",
+            ),
+        ],
+    )
+    def test_malformed_records_raise_value_error(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            identity_from_json({**self.RECORD, **changes})
+
+    def test_repeated_terms_are_summed(self):
+        item = {"term_kind": "word", "term": "0101", "coeff_num": "1", "coeff_den": "2"}
+        comb = lincomb_from_json([item, item, {**item, "coeff_num": "-1"}])
+        assert comb == LinComb.term(word("0101"), Fraction(1, 2))
+        assert lincomb_from_json([item, {**item, "coeff_num": "-1"}]).is_zero
