@@ -164,6 +164,18 @@ class TestD7Residue:
             expected = expected + LinComb.term(TensorTerm(rep, right, 7), sign)
         assert collapsed == expected
 
+    def test_collapse_skips_orbits_with_adjacent_unit_blocks(self):
+        left = word("01011")
+
+        def orbit(lengths):
+            n = len(lengths)
+            rights = {word_of(blocks(0, *lengths[i:], *lengths[:i])) for i in range(n)}
+            return combine((TensorTerm(left, right, 3), 1) for right in rights)
+
+        collapsed = LinComb.term(TensorTerm(left, word_of(blocks(0, 8)), 3))
+        assert collapse_cyclic_rights(orbit((1, 2, 1, 4))) == collapsed
+        assert collapse_cyclic_rights(orbit((1, 1, 2, 4))) == orbit((1, 1, 2, 4))
+
 
 class TestStability:
     def test_233_grade3(self):
