@@ -306,10 +306,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("text", "json", "latex"), default="text"
-        )
+    def add_format(p, *extra):
+        p.add_argument("--format", choices=("text", "json", *extra), default="text")
 
     p = sub.add_parser("decompose", help="block-decompose a binary word")
     p.add_argument("word")
@@ -328,7 +326,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regularise", help="shuffle-regularise an integral word")
     p.add_argument("word")
-    add_format(p)
+    add_format(p, "latex")
     p.set_defaults(fn=cmd_regularise)
 
     def add_family_opts(p):

@@ -94,6 +94,11 @@ def block_word(lengths: tuple[int, ...]) -> Word:
     return word_of(BlockDecomposition(0, tuple(lengths)))
 
 
+def _scaled(c: LinComb, scalar):
+    """The terms of scalar * c, for summing through one combine."""
+    return ((key, v * scalar) for key, v in c.items())
+
+
 def _rotations(lengths: tuple[int, ...]):
     n = len(lengths)
     for i in range(n):
@@ -177,11 +182,11 @@ def gen_cyclic_full(lengths, mode: str = "transcendental") -> Identity:
     I_bl(2k+2) * I_bl(m), with I_bl(2k+2) the word of zeta({2}^k); every
     term is a word, so no pi coefficient is left.
 
-    The rank table does not use either mode: rank.cyclic_row resolves
-    the corrections through zeta(2k) and the depth-1 stuffle.  The
-    symbolic relations are numerically true, but their formal rank is
-    lower: 12 / 23 / 46 at weights 6 / 7 / 8, against 13 / 25 / 50 for
-    the table's rows (README.md, "Rank table").
+    The rank table vectorises mode "transcendental": rank.vectorize
+    resolves each pi^(2k) correction through zeta(2k) and the depth-1
+    stuffle.  The symbolic relations are numerically true, but their
+    formal rank is lower: 12 / 23 / 46 at weights 6 / 7 / 8, against
+    13 / 25 / 50 for the table's rows (README.md, "Rank table").
     """
     lengths = tuple(lengths)
     if len(lengths) < 2:
@@ -190,31 +195,23 @@ def gen_cyclic_full(lengths, mode: str = "transcendental") -> Identity:
         raise ValueError(f"unknown mode {mode!r}")
     B = _nontrivial_block(lengths)
     N = B.weight
-    n = len(lengths)
-    lhs = cyclic_head(lengths)
-    for k in range(1, n // 2 + 1):
+    terms = list(cyclic_head(lengths).items())
+    for k in range(1, len(lengths) // 2 + 1):
         ms = compute_Lk(lengths, 2 * k)
-        if not ms:
-            continue
         if mode == "transcendental":
             # A_k = 2 (2 pi)^(2k) / (2k+2)!, correction sign (-1)^k
-            a_k = PiRational(
-                Fraction(2 * 4**k, factorial(2 * k + 2)), 2 * k
-            ) * Fraction((-1) ** k)
-            for m in ms:
-                if m:
-                    lhs = lhs + LinComb.term(block_word(m), a_k)
-                else:
-                    lhs = lhs + LinComb.term(ONE, a_k)
+            a_k = PiRational(Fraction((-1) ** k * 2 * 4**k, factorial(2 * k + 2)), 2 * k)
+            terms.extend((block_word(m) if m else ONE, a_k) for m in ms)
         else:
             # (-1)^k A_k = + 2^(2k+1)/(2k+2) * I_bl(2k+2), expanded by shuffle
             q = Fraction(2 ** (2 * k + 1), 2 * k + 2)
             corr = block_word((2 * k + 2,))
             for m in ms:
                 if m:
-                    lhs = lhs + shuffle_product(corr, block_word(m)) * q
+                    terms.extend(_scaled(shuffle_product(corr, block_word(m)), q))
                 else:
-                    lhs = lhs + LinComb.term(corr, q)
+                    terms.append((corr, q))
+    lhs = combine(terms)
     return Identity(
         "cyclic-full",
         {"lengths": lengths, "mode": mode},
@@ -429,22 +426,20 @@ def gen_composition_sums(kind: str, m: int, n: int = 1) -> Identity:
     if m < 0 or n < 0:
         raise ValueError(f"composition sums need m, n >= 0, got m={m}, n={n}")
     if kind == "bowman-bradley":
-        lhs = LinComb.zero()
-        for bs in _compositions(m, 2 * n + 1):
-            lhs = lhs + LinComb.term(Zeta123Form(("1", "3") * n, bs).expand(), 1)
+        lhs = combine(
+            (Zeta123Form(("1", "3") * n, bs).expand(), 1)
+            for bs in _compositions(m, 2 * n + 1)
+        )
         wt = 4 * n + 2 * m
         rhs = PiRational(
             Fraction(comb(m + 2 * n, m), (2 * n + 1) * factorial(wt + 1)), wt
         )
         return Identity("bowman-bradley", {"n": n, "m": m}, wt, lhs, rhs)
     if kind == "z1333-compsum":
-        lhs = LinComb.zero()
-        count = 0
-        for bs in _compositions(m, 5):
-            lhs = lhs + gen_cyc123(Zeta123Form(("1", "3", "3", "3"), bs)).lhs
-            count += 1
+        parts = list(_compositions(m, 5))
         # one lot of -pi^wt/(wt+1)! per composition of m into 5 parts
-        assert count == comb(m + 4, m)
+        assert len(parts) == comb(m + 4, m)
+        lhs = _orbit_sum(("1", "3", "3", "3"), parts)
         wt = 10 + 2 * m
         rhs = PiRational(Fraction(-comb(m + 4, m), factorial(wt + 1)), wt)
         return Identity("z1333-compsum", {"m": m}, wt, lhs, rhs)
@@ -454,13 +449,18 @@ def gen_composition_sums(kind: str, m: int, n: int = 1) -> Identity:
         parts = [(0, 0, 0, 0, m), (0, 0, 0, m, 0)]
         parts.extend((0, 0, i, 0, m - i) for i in range(1, m - 1))
         parts.append((0, 1, 0, m - 1, 0))
-        lhs = LinComb.zero()
-        for bs in parts:
-            lhs = lhs + gen_cyc123(Zeta123Form(("1", "3", "3", "3"), bs)).lhs
+        lhs = _orbit_sum(("1", "3", "3", "3"), parts)
         wt = 10 + 2 * m
         rhs = PiRational(Fraction(-(m + 1), factorial(wt + 1)), wt)
         return Identity("further-13332n", {"m": m}, wt, lhs, rhs)
     raise ValueError(f"unknown composition-sum kind {kind!r}")
+
+
+def _orbit_sum(tokens: tuple[str, ...], bs_list) -> LinComb:
+    """Sum of the cyc-orbit sums of zeta(tokens | bs) over bs_list."""
+    return combine(
+        term for bs in bs_list for term in gen_cyc123(Zeta123Form(tokens, bs)).lhs.items()
+    )
 
 
 def gen_sym_family(kind: str, params: dict) -> Identity:
@@ -469,16 +469,15 @@ def gen_sym_family(kind: str, params: dict) -> Identity:
         b = tuple(params["b"])
         if len(b) != 5:
             raise ValueError("z13312-sym needs five b parameters")
-        lhs = LinComb.zero()
+        terms = []
         for p_even in itertools.permutations((b[0], b[1], b[4])):
             for p_odd in itertools.permutations((b[2], b[3])):
                 c = (p_even[0], p_even[1], p_odd[0], p_odd[1], p_even[2])
-                lhs = lhs + gen_cyc123(
-                    Zeta123Form(("1", "3", "3", "3"), c)
-                ).lhs
-                lhs = lhs - gen_cyc123(
+                terms.extend(gen_cyc123(Zeta123Form(("1", "3", "3", "3"), c)).lhs.items())
+                terms.extend(_scaled(gen_cyc123(
                     Zeta123Form(("1", "3", "3", "T"), (c[0], c[1], c[2], c[4], c[3]))
-                ).lhs
+                ).lhs, -1))
+        lhs = combine(terms)
         wt = 10 + 2 * sum(b)
         rhs = PiRational(Fraction(-factorial(4), factorial(wt + 1)), wt)
         return Identity("z13312-sym", {"b": b}, wt, lhs, rhs)
@@ -513,24 +512,31 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
-def alt_sum(lengths: tuple[int, ...], positions: tuple[int, ...]) -> LinComb:
-    """Antisymmetrised sum over permutations of the given 1-based slots.
+def alt_sum(lengths: tuple[int, ...], *slot_groups: tuple[int, ...]) -> LinComb:
+    """Antisymmetrised sum over permutations of each group of 1-based slots.
 
-    Identically zero (empty combination) when the slot values repeat.
-    Trivial words are dropped: their integrals vanish exactly.
+    The groups are permuted independently, each term signed by the
+    product of their permutation signs.  Identically zero (empty
+    combination) when the values of a group repeat.  Trivial words are
+    dropped: their integrals vanish exactly.
     """
     lengths = tuple(lengths)
-    values = [lengths[p - 1] for p in positions]
-    if len(set(values)) < len(values):
+    groups = [(slots, [lengths[p - 1] for p in slots]) for slots in slot_groups]
+    if any(len(set(values)) < len(values) for _, values in groups):
         return LinComb.zero()
     terms = []
-    for perm in itertools.permutations(range(len(values))):
+    for perms in itertools.product(
+        *(itertools.permutations(range(len(values))) for _, values in groups)
+    ):
         assigned = list(lengths)
-        for slot, src in zip(positions, perm):
-            assigned[slot - 1] = values[src]
-        w = word_of(BlockDecomposition(0, tuple(assigned)))
+        sign = 1
+        for (slots, values), perm in zip(groups, perms):
+            for slot, src in zip(slots, perm):
+                assigned[slot - 1] = values[src]
+            sign *= _perm_sign(perm)
+        w = block_word(tuple(assigned))
         if not w.is_trivial:
-            terms.append((w, _perm_sign(perm)))
+            terms.append((w, sign))
     return combine(terms)
 
 
@@ -604,17 +610,17 @@ def gen_altodd_odd(lengths, x: int) -> Identity:
     """Odd-weight alt-odd candidate: signed sum of the rows R_i."""
     lengths = tuple(lengths)
     rows = altodd_odd_rows(lengths, x)
-    lhs = LinComb.zero()
+    terms = []
     for row in rows:
         sign = 1 if row.index % 2 else -1  # (-1)^(i+1), first row positive
-        lhs = lhs + alt_sum(row.b_string, row.b_slots) * sign
-        lhs = lhs + alt_sum(row.c_string, row.c_slots) * sign
+        terms.extend(_scaled(alt_sum(row.b_string, row.b_slots), sign))
+        terms.extend(_scaled(alt_sum(row.c_string, row.c_slots), sign))
     N = x + sum(lengths[0::2]) - 2
     return Identity(
         "altodd-odd",
         {"lengths": lengths, "x": x},
         N,
-        lhs,
+        combine(terms),
         PiRational(Fraction(0)),
     )
 
@@ -629,21 +635,7 @@ def gen_double_alt(lengths) -> Identity:
     else:
         raise ValueError("double-alt is stated for 4 or 6 blocks")
     B = _nontrivial_block(lengths)
-    first, second = partitions
-    lhs = LinComb.zero()
-    vals1 = [lengths[p - 1] for p in first]
-    vals2 = [lengths[p - 1] for p in second]
-    if len(set(vals1)) == len(vals1) and len(set(vals2)) == len(vals2):
-        for perm1 in itertools.permutations(range(len(vals1))):
-            for perm2 in itertools.permutations(range(len(vals2))):
-                assigned = list(lengths)
-                for slot, src in zip(first, perm1):
-                    assigned[slot - 1] = vals1[src]
-                for slot, src in zip(second, perm2):
-                    assigned[slot - 1] = vals2[src]
-                w = word_of(BlockDecomposition(0, tuple(assigned)))
-                if not w.is_trivial:
-                    lhs = lhs + LinComb.term(w, _perm_sign(perm1) * _perm_sign(perm2))
+    lhs = alt_sum(lengths, *partitions)
     return Identity(
         "double-alt",
         {"lengths": lengths},

@@ -9,7 +9,6 @@ suffix factors are built incrementally, one series transform per letter.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -30,78 +29,42 @@ _SCALE_EXTRA = 16  # coefficient scale F = bits + _SCALE_EXTRA
 
 
 def _digits_bucket(digits: int) -> int:
+    """The precision rounded up to a multiple of ten, at least ten.
+
+    The value caches key by exact digits; perfbench/layers.py reads them
+    through this bucket, which agrees at its precisions (30, 50, 500).
+    """
     return ((max(digits, 10) + 9) // 10) * 10
 
 
 class EvalCache:
-    """In-memory value cache with optional line-oriented persistence.
+    """In-memory value cache keyed by composition and exact digit count.
 
-    File records: "z(s1,...,sk) <digits> <decimal value>"; records are
-    reused when stored at least at the requested precision.
+    A value computed for one precision never answers another, so results
+    do not depend on what ran before.
     """
 
-    def __init__(self, path: str | None = None):
+    def __init__(self):
         self._lock = threading.Lock()
         self._mem: dict[tuple[ZetaComposition, int], BigReal] = {}
-        self._file: dict[ZetaComposition, tuple[int, str]] = {}
-        self.path = path
-        if path and os.path.exists(path):
-            self._load(path)
-
-    def _load(self, path: str) -> None:
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) != 3:
-                    continue
-                try:
-                    comp = ZetaComposition.parse(parts[0])
-                    digits = int(parts[1])
-                except (ValueError, ArithmeticError):
-                    continue
-                old = self._file.get(comp)
-                if old is None or old[0] < digits:
-                    self._file[comp] = (digits, parts[2])
 
     def get(self, comp: ZetaComposition, digits: int) -> BigReal | None:
-        key = (comp, _digits_bucket(digits))
         with self._lock:
-            hit = self._mem.get(key)
-            if hit is not None:
-                return hit
-            rec = self._file.get(comp)
-        if rec is not None and rec[0] >= digits:
-            stored_digits, text = rec
-            bits = bits_for_digits(digits)
-            decimals = len(text.partition(".")[2])
-            frac = Fraction(int(text.replace(".", "")), 10**decimals)
-            val = BigReal.from_fraction(frac, bits)
-            # stored text is truncated at stored_digits decimal places
-            err = (2 << bits) // 10**stored_digits + 2
-            return BigReal(val.man, bits, val.err + err)
-        return None
+            return self._mem.get((comp, digits))
 
     def put(self, comp: ZetaComposition, digits: int, value: BigReal) -> None:
-        key = (comp, _digits_bucket(digits))
         with self._lock:
-            self._mem[key] = value
-            if self.path:
-                rec = self._file.get(comp)
-                if rec is None or rec[0] < digits:
-                    text = value.to_decimal(digits)
-                    self._file[comp] = (digits, text)
-                    with open(self.path, "a", encoding="ascii") as fh:
-                        fh.write(f"{comp} {digits} {text}\n")
+            self._mem[(comp, digits)] = value
 
 
-_cache = EvalCache(os.environ.get("MZV_CACHE_PATH"))
+_cache = EvalCache()
 _word_cache: dict[tuple[Word, int], BigReal] = {}
 _word_lock = threading.Lock()
 
 
 def reset_caches() -> None:
     global _cache
-    _cache = EvalCache(os.environ.get("MZV_CACHE_PATH"))
+    _cache = EvalCache()
     with _word_lock:
         _word_cache.clear()
 
@@ -109,7 +72,7 @@ def reset_caches() -> None:
 def eval_word(w: Word, digits: int = DEFAULT_DIGITS) -> BigReal:
     """Value of the iterated integral of a convergent word."""
     bits = bits_for_digits(digits)
-    key = (w, _digits_bucket(digits))
+    key = (w, digits)
     with _word_lock:
         hit = _word_cache.get(key)
     if hit is not None:
@@ -232,6 +195,7 @@ def verify(identity, digits: int = DEFAULT_DIGITS, max_den: int = 10**6) -> Veri
         raise ValueError(
             f"weight {identity.weight} beyond the configured ceiling {MAX_WEIGHT}"
         )
+    _check_max_den(max_den)
     t0 = time.monotonic()
     threshold = Fraction(1, 10**digits)
     if identity.rhs is None:
@@ -269,6 +233,11 @@ def _recognize_zeta_multiple(identity, digits: int, max_den: int):
     return ratio, recognize_rational(ratio, max_den)
 
 
+def _check_max_den(max_den: int) -> None:
+    if max_den < 1:
+        raise ValueError(f"max_den must be at least 1, got {max_den}")
+
+
 def recognize_rational(x: BigReal, max_den: int) -> Fraction | None:
     """Continued-fraction recognition with a confirmation margin.
 
@@ -276,6 +245,7 @@ def recognize_rational(x: BigReal, max_den: int) -> Fraction | None:
     its own error bound and carries at least 20 digits of confirmation
     beyond what the approximation q^2 could produce by chance.
     """
+    _check_max_den(max_den)
     need = Fraction(1, max_den * max_den * 10**20)
     if not x.err_at_most(need):
         raise ValueError(

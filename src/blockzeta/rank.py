@@ -1,10 +1,9 @@
 """Exact rational vectorisation of relation families and the rank table.
 
 Rows live in the basis of convergent words of a fixed weight N (sorted
-as binary integers).  Cyclic-insertion rows follow the table procedure:
-regularise, express product corrections through zeta(2k) and resolve
-them with the depth-1 stuffle, rewrite pi^N into the zeta({2}^{N/2})
-basis word, then read off coefficients.
+as binary integers).  A row is an identity's "= 0" form, vectorised:
+regularise, then resolve each pi^(2k) coefficient through zeta(2k) and
+the depth-1 stuffle, then read off coefficients.
 """
 
 from __future__ import annotations
@@ -17,29 +16,14 @@ from math import gcd, isqrt, lcm
 from .identities import (
     Identity,
     alt_sum,
-    compute_Lk,
-    cyclic_head,
+    gen_altodd_even,
     gen_altodd_odd,
+    gen_cyclic_full,
     has_cyclic_adjacent_ones,
 )
 from .lincomb import LinComb
-from .regalgebra import (
-    _compositions,
-    pi_power_as_two_comp,
-    regularise,
-    stuffle_depth1,
-    zeta_even_coeff,
-    zeta_two_power,
-)
-from .words import (
-    ONE,
-    BlockDecomposition,
-    ZetaComposition,
-    block_decompose,
-    convergent_words,
-    word_of,
-    word_to_mzv,
-)
+from .regalgebra import _compositions, regularise, stuffle_depth1, zeta_even_coeff
+from .words import ZetaComposition, block_decompose, convergent_words, word_to_mzv
 
 
 def zagier_dim(N: int) -> int:
@@ -70,67 +54,38 @@ def _basis_index(N: int) -> dict[ZetaComposition, int]:
 def vectorize(comb: LinComb, N: int) -> list[Fraction]:
     """Coefficient vector of a weight-N combination in the MZV basis.
 
-    Word terms are regularised; pi^N constants are rewritten as
-    (N+1)! zeta({2}^{N/2}); any other pi power is rejected.
+    Word terms are regularised.  A term q pi^(2k) zeta(s) is
+    (q / c_k) zeta(2k) zeta(s), where zeta(2k) = c_k pi^(2k), expanded by
+    the depth-1 stuffle; for the empty s it is (q / c_k) zeta(2k).  A term
+    of another weight, or a bare constant, is rejected.
     """
     index = _basis_index(N)
     vec = [Fraction(0)] * len(index)
-    flat = regularise(comb)
-    for key, coeff in flat.items():
+    for key, coeff in regularise(comb).items():
         if not isinstance(key, ZetaComposition):
             raise TypeError(f"cannot vectorise term {key!r}")
-        if key is ONE or not key.args:
-            if coeff.pi_exp != N:
-                raise ValueError(
-                    f"constant term pi^{coeff.pi_exp} in a weight-{N} relation"
-                )
-            two_comp, scale = pi_power_as_two_comp(coeff.pi_exp)
-            vec[index[two_comp]] += coeff.coeff * scale
+        if key.weight + coeff.pi_exp != N:
+            raise ValueError(
+                f"weight {key.weight + coeff.pi_exp} term in weight-{N} relation"
+            )
+        if not coeff.pi_exp:
+            if not key.args:
+                raise ValueError(f"constant term in a weight-{N} relation")
+            vec[index[key]] += coeff.coeff
             continue
-        if coeff.pi_exp:
-            raise ValueError("unresolved pi coefficient; use the stuffle route")
-        if key.weight != N:
-            raise ValueError(f"weight {key.weight} term in weight-{N} relation")
-        vec[index[key]] += coeff.coeff
+        k = coeff.pi_exp // 2
+        q = coeff.coeff / zeta_even_coeff(k).coeff
+        if not key.args:
+            vec[index[ZetaComposition((2 * k,))]] += q
+            continue
+        for comp, c in stuffle_depth1(2 * k, key).items():
+            vec[index[comp]] += q * c.coeff
     return vec
 
 
 def identity_vector(ident: Identity) -> list[Fraction]:
+    """The row of an identity: its "= 0" form, vectorised."""
     return vectorize(ident.difference(), ident.weight)
-
-
-def cyclic_row(lengths: tuple[int, ...], N: int) -> list[Fraction]:
-    """Full-conjecture relation vector via the stuffle product route."""
-    lengths = tuple(lengths)
-    index = _basis_index(N)
-    vec = vectorize(cyclic_head(lengths), N)
-    n = len(lengths)
-    for k in range(1, n // 2 + 1):
-        ms = compute_Lk(lengths, 2 * k)
-        if not ms:
-            continue
-        # (-1)^k A_k = (-1)^k 2^{2k+1}/(2k+2) zeta({2}^k) = r * zeta(2k)
-        even = zeta_even_coeff(k)
-        r = (
-            Fraction((-1) ** k * 2 ** (2 * k + 1), 2 * k + 2)
-            * zeta_two_power(k).coeff
-            / even.coeff
-        )
-        for m in ms:
-            if m:
-                inner = regularise(LinComb.term(word_of(BlockDecomposition(0, m)), 1))
-            else:
-                inner = LinComb.term(ONE)
-            for comp, coeff in inner.items():
-                if coeff.pi_exp:
-                    raise ValueError("unexpected pi coefficient inside correction")
-                if comp is ONE or not comp.args:
-                    resolved = LinComb.term(ZetaComposition((2 * k,)))
-                else:
-                    resolved = stuffle_depth1(2 * k, comp)
-                for out_comp, c2 in resolved.items():
-                    vec[index[out_comp]] += r * coeff.coeff * c2.coeff
-    return vec
 
 
 def _necklace_representatives(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -253,16 +208,11 @@ def altodd_rows(N: int) -> list[list[Fraction]]:
     rows = []
     seen = set()
     if N % 2 == 0:
-        combs = (
-            alt_sum(lengths, tuple(range(1, len(lengths) + 1, 2)))
-            for lengths in altodd_even_family(N)
-        )
+        idents = (gen_altodd_even(lengths) for lengths in altodd_even_family(N))
     else:
-        combs = (
-            gen_altodd_odd(lengths, x).lhs for lengths, x in altodd_odd_family(N)
-        )
-    for comb in combs:
-        vec = vectorize(comb, N)
+        idents = (gen_altodd_odd(lengths, x) for lengths, x in altodd_odd_family(N))
+    for ident in idents:
+        vec = identity_vector(ident)
         key = tuple(vec)
         if not any(vec) or key in seen:
             continue
@@ -272,7 +222,8 @@ def altodd_rows(N: int) -> list[list[Fraction]]:
 
 
 def cyclic_rows(N: int) -> list[list[Fraction]]:
-    return [cyclic_row(lengths, N) for lengths in cyclic_family(N)]
+    """Full cyclic-insertion relations, the identities `verify` checks."""
+    return [identity_vector(gen_cyclic_full(lengths)) for lengths in cyclic_family(N)]
 
 
 #: The relation families of the rank table, in table order.
@@ -570,14 +521,6 @@ class TableRow:
     duality_rank: int
     overall: int
     expected: int
-
-    def __str__(self) -> str:
-        return (
-            f"{self.weight} & {self.cyclic_init} & {self.cyclic_rank} & "
-            f"{self.altodd_init} & {self.altodd_rank} & "
-            f"{self.duality_init} & {self.duality_rank} & "
-            f"{self.overall} & {self.expected}"
-        )
 
 
 def table_row(N: int, families: tuple[str, ...] = FAMILIES) -> TableRow:

@@ -251,11 +251,3 @@ def zeta_two_power(m: int) -> PiRational:
     if m == 0:
         return PiRational(Fraction(1))
     return PiRational(Fraction(1, factorial(2 * m + 1)), 2 * m)
-
-
-def pi_power_as_two_comp(pi_exp: int) -> tuple[ZetaComposition, Fraction]:
-    """Rewrite pi^(2m) as (2m+1)! * zeta({2}^m) for exact vectorisation."""
-    if pi_exp % 2:
-        raise ValueError("pi exponent must be even")
-    m = pi_exp // 2
-    return ZetaComposition((2,) * m), Fraction(factorial(2 * m + 1))

@@ -164,6 +164,14 @@ class TestKernelAndTable:
             (("verify", "<", record(rhs=None)), "missing or null key 'rhs'"),
             (("dkernel", "--lengths", "2"), "needs weight >= 2, got weight 0"),
             (("dkernel", "--lengths", "1,2"), "needs weight >= 2, got weight 1"),
+            (
+                ("verify", "--family", "symmetric", "--lengths", "2,3,1", "--max-den", "0"),
+                "max_den must be at least 1, got 0",
+            ),
+            (
+                ("verify", "--family", "symmetric", "--lengths", "2,3,1", "--max-den", "-3"),
+                "max_den must be at least 1, got -3",
+            ),
         ],
     )
     def test_bad_table_input_exit_2(self, capsys, monkeypatch, argv, message):
@@ -174,6 +182,29 @@ class TestKernelAndTable:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--weight", "4", "--format", "latex"),
+            ("dkernel", "--lengths", "2,3,3", "--format", "latex"),
+            ("rank", "--weight", "4", "--format", "latex"),
+            ("decompose", "010100111010101", "--format", "latex"),
+            ("word", "(0; 5,2,1,7)", "--format", "latex"),
+            ("mzv", "z(1,3)", "--format", "latex"),
+            ("verify", "--family", "hoffman", "--b", "0,0,0", "--format", "latex"),
+        ],
+    )
+    def test_latex_only_where_implemented(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "invalid choice: 'latex'" in err and "Traceback" not in err
+
+    def test_latex_where_implemented(self, capsys):
+        code, out, _ = invoke(capsys, "regularise", "0010111", "--format", "latex")
+        assert code == 0 and "\\zeta" in out
+        code, out, _ = invoke(capsys, "generate", "hoffman", "--b", "0,0,0", "--format", "latex")
+        assert code == 0 and "\\doteq" in out
 
 
 def _verify_exit_code(line: str) -> int:

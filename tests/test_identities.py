@@ -312,6 +312,17 @@ class TestAltFamilies:
         swapped = alt_sum((3, 2, 1), (1, 3))
         assert comb == -swapped
 
+    def test_alt_sum_antisymmetric_in_each_group(self):
+        # the double-alt groups of six blocks: swapping two values inside
+        # either group negates the sum
+        groups = ((1, 4, 6), (2, 3, 5))
+        comb = alt_sum((1, 2, 3, 4, 5, 6), *groups)
+        assert not comb.is_zero
+        assert comb == gen_double_alt((1, 2, 3, 4, 5, 6)).lhs
+        assert alt_sum((4, 2, 3, 1, 5, 6), *groups) == -comb
+        assert alt_sum((1, 5, 3, 4, 2, 6), *groups) == -comb
+        assert alt_sum((1, 2, 3, 4, 5, 1), *groups).is_zero
+
     def test_repeated_values_vanish(self):
         assert alt_sum((2, 1, 2), (1, 3)).is_zero
         ident = gen_altodd_even((2, 3, 2, 3, 2))

@@ -8,7 +8,6 @@ from blockzeta.bigreal import BigReal, bits_for_digits, pi_bigreal, pi_power
 from blockzeta.identities import Identity, gen_symmetric
 from blockzeta.lincomb import LinComb, PiRational
 from blockzeta.numerics import (
-    EvalCache,
     eval_lincomb,
     eval_mzv,
     eval_word,
@@ -215,6 +214,24 @@ class TestVerify:
         # which evaluates to 2*I_bl(8) = -2 pi^6/7! = -(3/8) zeta(6)
         assert "lhs = (-3/8) * zeta(6)" in rep.note
 
+    def test_report_independent_of_history(self):
+        from blockzeta import numerics
+        from blockzeta.identities import gen_cyclic_full
+
+        ident = gen_cyclic_full((1, 1, 4))
+
+        def report():
+            rep = verify(ident, 50)
+            return rep.status, rep.residual, rep.digits_matched
+
+        numerics.reset_caches()
+        fresh = report()
+        numerics.reset_caches()
+        for digits in (41, 45):
+            verify(ident, digits)
+        assert report() == fresh
+        numerics.reset_caches()
+
 
 class TestRecognizeRational:
     def test_exact_half(self):
@@ -236,27 +253,12 @@ class TestRecognizeRational:
         with pytest.raises(ValueError):
             recognize_rational(x, 10**6)
 
-
-class TestCacheFile:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "cache.txt"
-        cache = EvalCache(str(path))
-        val = eval_mzv(zc(2, 3), 30)
-        cache.put(zc(2, 3), 30, val)
-        reloaded = EvalCache(str(path))
-        hit = reloaded.get(zc(2, 3), 25)
-        assert hit is not None
-        assert (hit - val).abs_at_most(Fraction(1, 10**25))
-        assert reloaded.get(zc(2, 3), 40) is None  # stored precision too low
-
-    def test_format_line(self, tmp_path):
-        path = tmp_path / "cache.txt"
-        cache = EvalCache(str(path))
-        cache.put(zc(2), 20, eval_mzv(zc(2), 20))
-        line = path.read_text().strip()
-        parts = line.split()
-        assert parts[0] == "z(2)" and parts[1] == "20"
-        assert parts[2].startswith("1.6449340668")
+    @pytest.mark.parametrize("max_den", [0, -3])
+    def test_max_den_must_be_positive(self, max_den):
+        # verify makes the same check; tests/test_cli.py runs it through argv
+        x = BigReal.from_fraction(Fraction(1, 2), bits_for_digits(60))
+        with pytest.raises(ValueError, match="max_den must be at least 1"):
+            recognize_rational(x, max_den)
 
 
 class TestKernels:

@@ -4,24 +4,48 @@ from math import lcm
 import pytest
 
 from blockzeta.bigreal import BigReal, bits_for_digits
-from blockzeta.lincomb import LinComb
+from blockzeta.identities import (
+    compute_Lk,
+    cyclic_head,
+    gen_bbbl,
+    gen_composition_sums,
+    gen_cyclic_full,
+    gen_hoffman,
+)
+from blockzeta.lincomb import LinComb, PiRational
 from blockzeta.numerics import eval_mzv
 from blockzeta.rank import (
     MERSENNE_61,
     RelationMatrix,
+    _basis_index,
     altodd_rows,
     basis_compositions,
     cyclic_family,
-    cyclic_row,
     cyclic_rows,
     duality_rows,
+    identity_vector,
     rank_certificate,
     rank_of,
     table_row,
     vectorize,
     zagier_dim,
 )
-from blockzeta.words import convergent_words, word, word_to_mzv, zc
+from blockzeta.regalgebra import (
+    regularise,
+    stuffle_depth1,
+    zeta_even_coeff,
+    zeta_two_power,
+)
+from blockzeta.words import (
+    ONE,
+    BlockDecomposition,
+    ZetaComposition,
+    convergent_words,
+    word,
+    word_of,
+    word_to_mzv,
+    zc,
+)
 
 
 def _bareiss_rank(rows):
@@ -65,6 +89,50 @@ def _frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _reference_cyclic_row(lengths, N):
+    """Full cyclic-insertion row derived on its own: the oracle for cyclic_rows.
+
+    Writes (-1)^k A_k = (-1)^k 2^(2k+1)/(2k+2) zeta({2}^k) as r zeta(2k)
+    and expands each correction r zeta(2k) reg(I_bl(m)) by the depth-1
+    stuffle, without going through the identity generator.
+    """
+    lengths = tuple(lengths)
+    index = _basis_index(N)
+    vec = vectorize(cyclic_head(lengths), N)
+    for k in range(1, len(lengths) // 2 + 1):
+        ms = compute_Lk(lengths, 2 * k)
+        if not ms:
+            continue
+        r = (
+            Fraction((-1) ** k * 2 ** (2 * k + 1), 2 * k + 2)
+            * zeta_two_power(k).coeff
+            / zeta_even_coeff(k).coeff
+        )
+        for m in ms:
+            if m:
+                inner = regularise(LinComb.term(word_of(BlockDecomposition(0, m)), 1))
+            else:
+                inner = LinComb.term(ONE)
+            for comp, coeff in inner.items():
+                assert not coeff.pi_exp
+                if comp is ONE or not comp.args:
+                    resolved = LinComb.term(ZetaComposition((2 * k,)))
+                else:
+                    resolved = stuffle_depth1(2 * k, comp)
+                for out_comp, c2 in resolved.items():
+                    vec[index[out_comp]] += r * coeff.coeff * c2.coeff
+    return vec
+
+
+def _value(vec, N, digits):
+    """The value of sum vec_i zeta(basis_i), to the given digits."""
+    acc = BigReal.exact_zero(bits_for_digits(digits))
+    for c, comp in zip(vec, basis_compositions(N)):
+        if c:
+            acc = acc + eval_mzv(comp, digits).mul_fraction(c)
+    return acc
+
+
 @pytest.fixture(scope="module")
 def weight_rows():
     """(cyclic, alt-odd, duality) rows for N = 2..9."""
@@ -104,6 +172,46 @@ class TestBasis:
     def test_weight_mismatch_rejected(self):
         with pytest.raises(ValueError):
             vectorize(LinComb.term(zc(4)), 6)
+
+    def test_pi_term_of_wrong_weight_rejected(self):
+        # pi^2 zeta(3) has weight 5
+        comb = LinComb.term(zc(2, 4)) + LinComb.term(zc(3), PiRational(1, 2))
+        with pytest.raises(ValueError, match="weight 5 term in weight-6"):
+            vectorize(comb, 6)
+
+    def test_bare_constant_rejected(self):
+        # the empty composition is the one weight-0 basis element
+        with pytest.raises(ValueError, match="constant term in a weight-0"):
+            vectorize(LinComb.term(ONE, 3), 0)
+
+    def test_pi_power_is_a_zeta_multiple(self):
+        # pi^4 = 90 zeta(4); pi^2 zeta(3) = 6 (zeta(2,3) + zeta(3,2) + zeta(5))
+        vec = vectorize(LinComb.term(ONE, PiRational(1, 4)), 4)
+        assert vec[_basis_index(4)[zc(4)]] == 90 and sum(vec) == 90
+        vec = vectorize(LinComb.term(zc(3), PiRational(1, 2)), 5)
+        index = _basis_index(5)
+        assert {index[c] for c in (zc(2, 3), zc(3, 2), zc(5))} == {
+            j for j, x in enumerate(vec) if x
+        }
+        assert all(vec[index[c]] == 6 for c in (zc(2, 3), zc(3, 2), zc(5)))
+
+    @pytest.mark.parametrize(
+        "ident",
+        [
+            gen_bbbl((0, 0, 0)),
+            gen_bbbl((1, 0, 0)),
+            gen_hoffman(0, 0, 0),
+            gen_hoffman(1, 0, 1),
+            gen_composition_sums("bowman-bradley", m=2, n=1),
+            gen_cyclic_full((1, 1, 2, 2, 2)),
+        ],
+        ids=lambda ident: f"{ident.family}{tuple(ident.params.values())}",
+    )
+    def test_identity_vector_vanishes(self, ident):
+        # pi^N right-hand sides included
+        vec = identity_vector(ident)
+        assert any(vec)
+        assert _value(vec, ident.weight, 30).abs_at_most(Fraction(1, 10**25))
 
 
 class TestRankOf:
@@ -220,18 +328,15 @@ class TestCyclicFamily:
         # of "duplicate" relations is unspecified)
         assert [len(cyclic_family(N)) for N in range(4, 9)] == [5, 6, 15, 25, 51]
 
-    def test_rows_numerically_true(self):
+    def test_rows_numerically_true(self, weight_rows):
         digits = 30
-        bits = bits_for_digits(digits)
         for N in (4, 5, 6, 7):
-            basis = basis_compositions(N)
-            for lengths in cyclic_family(N):
-                vec = cyclic_row(lengths, N)
-                acc = BigReal.exact_zero(bits)
-                for c, comp in zip(vec, basis):
-                    if c:
-                        acc = acc + eval_mzv(comp, digits).mul_fraction(c)
-                assert acc.abs_at_most(Fraction(1, 10 ** (digits - 5)))
+            for vec in weight_rows[N][0]:
+                assert _value(vec, N, digits).abs_at_most(Fraction(1, 10 ** (digits - 5)))
+
+    def test_rows_match_the_reference_derivation(self, weight_rows):
+        for N, (cyc, _, _) in weight_rows.items():
+            assert cyc == [_reference_cyclic_row(c, N) for c in cyclic_family(N)], N
 
     def test_rank_bound(self, weight_rows):
         # valid relations never exceed the expected rank, up to weight 9

@@ -9,7 +9,6 @@ from blockzeta.regalgebra import (
     _compositions,
     bernoulli,
     divergence_relation,
-    pi_power_as_two_comp,
     regularise,
     regularise_word,
     shuffle_interiors,
@@ -284,10 +283,6 @@ class TestEvenZetas:
         assert zeta_two_power(0) == PiRational(Fraction(1), 0)
         assert zeta_two_power(1) == PiRational(Fraction(1, 6), 2)
         assert zeta_two_power(2) == PiRational(Fraction(1, 120), 4)
-
-    def test_pi_rewrite(self):
-        comp, scale = pi_power_as_two_comp(6)
-        assert comp == zc(2, 2, 2) and scale == 5040
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
