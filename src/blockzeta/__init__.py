@@ -73,7 +73,14 @@ from .numerics import (
     recognize_rational,
     verify,
 )
-from .rank import RelationMatrix, family_rows, table_row, vectorize, zagier_dim
+from .rank import (
+    RelationMatrix,
+    family_rows,
+    relation_rows,
+    table_row,
+    vectorize,
+    zagier_dim,
+)
 
 __version__ = "0.1.0"
 

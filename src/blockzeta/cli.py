@@ -33,7 +33,7 @@ from .identities import (
 )
 from .lincomb import LinComb
 from .numerics import DEFAULT_DIGITS, verify
-from .rank import FAMILIES, table_row
+from .rank import FAMILIES, RelationMatrix, table_row
 from .reflect import reflective_closure
 from .regalgebra import regularise_word
 from .words import (
@@ -240,11 +240,13 @@ def cmd_dkernel(args) -> int:
     return 0
 
 
+#: Text labels of the rank-table families.
+FAMILY_LABELS = {"cyclic": "cyclic", "altodd": "alt-odd", "duality": "duality"}
+
+
 def cmd_rank(args) -> int:
     families = tuple(f.strip() for f in args.families.split(","))
     if args.matrix:
-        from .rank import RelationMatrix
-
         mat = RelationMatrix.build(args.weight, families)
         print(
             serial.dumps(
@@ -259,43 +261,19 @@ def cmd_rank(args) -> int:
         return 0
     row = table_row(args.weight, families)
     if args.format == "json":
-        print(serial.dumps(_row_json(row, families)))
-    else:
-        _print_row(row, families)
-    return 0
-
-
-def cmd_table(args) -> int:
-    row = table_row(args.weight)
-    if args.format == "json":
-        print(serial.dumps(_row_json(row, FAMILIES)))
-    else:
-        _print_row(row, FAMILIES)
-    return 0
-
-
-def _row_json(row, families) -> dict:
-    out = {"weight": row.weight, "overall": row.overall, "expected": row.expected}
-    if "cyclic" in families:
-        out["cyclic"] = {"init": row.cyclic_init, "rank": row.cyclic_rank}
-    if "altodd" in families:
-        out["altodd"] = {"init": row.altodd_init, "rank": row.altodd_rank}
-    if "duality" in families:
-        out["duality"] = {"init": row.duality_init, "rank": row.duality_rank}
-    return out
-
-
-def _print_row(row, families) -> None:
+        out = {"weight": row.weight, "overall": row.overall, "expected": row.expected}
+        for family, (init, rank) in row.families.items():
+            out[family] = {"init": init, "rank": rank}
+        print(serial.dumps(out))
+        return 0
     parts = [f"weight {row.weight}:"]
-    if "cyclic" in families:
-        parts.append(f"cyclic {row.cyclic_init}/{row.cyclic_rank}")
-    if "altodd" in families:
-        parts.append(f"alt-odd {row.altodd_init}/{row.altodd_rank}")
-    if "duality" in families:
-        parts.append(f"duality {row.duality_init}/{row.duality_rank}")
-    parts.append(f"overall {row.overall}")
-    parts.append(f"expected {row.expected}")
+    for family in FAMILIES:
+        if family in row.families:
+            init, rank = row.families[family]
+            parts.append(f"{FAMILY_LABELS[family]} {init}/{rank}")
+    parts += [f"overall {row.overall}", f"expected {row.expected}"]
     print("  ".join(parts))
+    return 0
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -371,7 +349,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="relation ranks for chosen families")
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--families", default="cyclic,altodd,duality")
+    p.add_argument("--families", default=",".join(FAMILIES))
     p.add_argument("--matrix", action="store_true",
                    help="emit the relation matrix as sparse triplets")
     add_format(p)
@@ -380,7 +358,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="one full row of the rank table")
     p.add_argument("--weight", type=int, required=True)
     add_format(p)
-    p.set_defaults(fn=cmd_table)
+    p.set_defaults(fn=cmd_rank, families=",".join(FAMILIES), matrix=False)
 
     return parser
 

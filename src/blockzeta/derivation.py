@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .identities import cyclic_sum, has_cyclic_adjacent_ones
+from .identities import cyclic_sum, has_cyclic_adjacent_ones, least_rotation
 from .lincomb import LinComb, TensorTerm, combine
 from .words import BlockDecomposition, Word, block_decompose, word_of
 
@@ -142,10 +142,6 @@ class StabilityReport:
         return all(g.is_full_cycle and g.m_plus_k == n + 1 for g in self.groups)
 
 
-def _orbit_rep(lengths: tuple[int, ...]) -> tuple[int, ...]:
-    return min(lengths[i:] + lengths[:i] for i in range(len(lengths)))
-
-
 def stability_shape(lengths: tuple[int, ...], r: int) -> StabilityReport:
     """Group D_r of a cyclic sum by canonical left factor, test the cycle law.
 
@@ -162,7 +158,7 @@ def stability_shape(lengths: tuple[int, ...], r: int) -> StabilityReport:
     grouped: dict[Word, dict[tuple[int, ...], dict[Word, int]]] = {}
     for term, coeff in tensors.items():
         b = block_decompose(term.right).lengths
-        rep = _orbit_rep(b)
+        rep = least_rotation(b)
         grouped.setdefault(term.left, {}).setdefault(rep, {})[term.right] = int(
             coeff.coeff
         )
@@ -208,7 +204,7 @@ def collapse_cyclic_rights(tensors: LinComb) -> LinComb:
     for term, coeff in tensors.items():
         b = block_decompose(term.right).lengths
         grouped.setdefault((term.left, term.grade), {}).setdefault(
-            _orbit_rep(b), {}
+            least_rotation(b), {}
         )[term.right] = coeff
     terms = []
     for (left, grade), orbits in grouped.items():

@@ -122,6 +122,11 @@ def cyclic_head(lengths: tuple[int, ...]) -> LinComb:
     return head
 
 
+def least_rotation(lengths: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically least cyclic rotation: one per necklace."""
+    return min(_rotations(tuple(lengths)))
+
+
 def has_cyclic_adjacent_ones(lengths: tuple[int, ...]) -> bool:
     """Whether two cyclically neighbouring lengths are both 1."""
     n = len(lengths)

@@ -15,11 +15,11 @@ from math import gcd, isqrt, lcm
 
 from .identities import (
     Identity,
-    alt_sum,
     gen_altodd_even,
     gen_altodd_odd,
     gen_cyclic_full,
     has_cyclic_adjacent_ones,
+    least_rotation,
 )
 from .lincomb import LinComb
 from .regalgebra import _compositions, regularise, stuffle_depth1, zeta_even_coeff
@@ -93,7 +93,7 @@ def _necklace_representatives(total: int, parts: int) -> list[tuple[int, ...]]:
     reps = set()
     out = []
     for comp in _compositions_pos(total, parts):
-        rot = min(comp[i:] + comp[:i] for i in range(parts))
+        rot = least_rotation(comp)
         if rot not in reps:
             reps.add(rot)
             out.append(rot)
@@ -149,69 +149,53 @@ def _some_term_has_adjacent_ones(comb: LinComb) -> bool:
     )
 
 
-def altodd_even_family(N: int) -> list[tuple[int, ...]]:
-    """Alt-odd length tuples at even weight, modulo the Alt symmetry.
+def _altodd_identities(N: int):
+    """The alt-odd identities swept at weight N, each generated once.
 
-    Odd positions must hold distinct values; compositions producing an
-    alternation term with cyclically adjacent unit blocks are excluded.
+    Odd positions must hold distinct values (else the alternation is
+    identically zero).  Even N: compositions of N+2 into n >= 3 parts of
+    the non-trivial parity, one per class of the Alt symmetry.  Odd N:
+    compositions of m <= N into an even number of parts, x fixed by the
+    weight; those violating the positivity constraint are skipped.
     """
-    reps = []
-    seen = set()
-    for n in range(3, N + 3, 1):
-        if (N - n) % 2 == 0:
-            continue
-        for comp in _compositions_pos(N + 2, n):
-            odds = comp[0::2]
-            if len(set(odds)) < len(odds):
+    if N % 2 == 0:
+        seen = set()
+        for n in range(3, N + 3):
+            if (N - n) % 2 == 0:
                 continue
-            key = (tuple(sorted(odds)), comp[1::2])
-            if key in seen:
-                continue
-            seen.add(key)
-            comb = alt_sum(comp, tuple(range(1, n + 1, 2)))
-            if _some_term_has_adjacent_ones(comb):
-                continue
-            reps.append(comp)
-    return reps
-
-
-def altodd_odd_family(N: int) -> list[tuple[tuple[int, ...], int]]:
-    """(lengths, x) pairs for the odd-weight alt-odd sweep at weight N.
-
-    All compositions of m <= N into an even number of parts; x is fixed
-    by the weight; rows violating the positivity constraint, with a
-    repeated odd-position value (identically zero), or producing a term
-    with cyclically adjacent unit blocks are skipped.
-    """
-    out = []
+            for comp in _compositions_pos(N + 2, n):
+                odds = comp[0::2]
+                key = (tuple(sorted(odds)), comp[1::2])
+                if len(set(odds)) < len(odds) or key in seen:
+                    continue
+                seen.add(key)
+                yield gen_altodd_even(comp)
+        return
     for m in range(2, N + 1):
         for parts in range(2, m + 1, 2):
             for comp in _compositions_pos(m, parts):
                 odds = comp[0::2]
-                if len(set(odds)) < len(odds):
-                    continue
                 x = N + 2 - sum(odds)
-                if x <= 0:
+                if len(set(odds)) < len(odds) or x <= 0:
                     continue
                 try:
                     ident = gen_altodd_odd(comp, x)
                 except ValueError:
                     continue
-                if _some_term_has_adjacent_ones(ident.lhs):
-                    continue
-                out.append((comp, x))
-    return out
+                yield ident
 
 
 def altodd_rows(N: int) -> list[list[Fraction]]:
-    """Alt-odd relation vectors; zero and duplicate rows are pruned."""
+    """Alt-odd relation vectors.
+
+    Identities with a term whose word has cyclically adjacent unit blocks
+    are skipped; zero and duplicate rows are pruned.
+    """
     rows = []
     seen = set()
-    if N % 2 == 0:
-        idents = (gen_altodd_even(lengths) for lengths in altodd_even_family(N))
-    else:
-        idents = (gen_altodd_odd(lengths, x) for lengths, x in altodd_odd_family(N))
-    for ident in idents:
+    for ident in _altodd_identities(N):
+        if _some_term_has_adjacent_ones(ident.lhs):
+            continue
         vec = identity_vector(ident)
         key = tuple(vec)
         if not any(vec) or key in seen:
@@ -251,6 +235,13 @@ def family_rows(N: int, family: str) -> list[list[Fraction]]:
     raise ValueError(f"unknown family {family!r}")
 
 
+def relation_rows(N: int, families: tuple[str, ...]) -> dict[str, list[list[Fraction]]]:
+    """The relation vectors of each distinct family, in the order listed;
+    N >= 2, families from FAMILIES."""
+    _check_table_args(N, families)
+    return {family: family_rows(N, family) for family in dict.fromkeys(families)}
+
+
 @dataclass
 class RelationMatrix:
     """Rows of relation vectors over the convergent-word basis."""
@@ -261,10 +252,8 @@ class RelationMatrix:
 
     @classmethod
     def build(cls, N: int, families: tuple[str, ...]) -> "RelationMatrix":
-        _check_table_args(N, families)
-        rows = []
-        for family in families:
-            rows.extend(family_rows(N, family))
+        gathered = relation_rows(N, families)
+        rows = [row for block in gathered.values() for row in block]
         return cls(N, list(_basis_index(N)), rows)
 
     def sparse_triplets(self) -> list[tuple[int, int, str]]:
@@ -512,31 +501,21 @@ def rank_of(rows: list[list[Fraction]]) -> int:
 
 @dataclass
 class TableRow:
+    """One row of the rank table: (row count, rank) per family, the rank
+    of all those rows together, and the expected 2^(N-2) - d_N."""
+
     weight: int
-    cyclic_init: int
-    cyclic_rank: int
-    altodd_init: int
-    altodd_rank: int
-    duality_init: int
-    duality_rank: int
+    families: dict[str, tuple[int, int]]
     overall: int
     expected: int
 
 
 def table_row(N: int, families: tuple[str, ...] = FAMILIES) -> TableRow:
     """Assemble one row of the relation-rank table; N >= 2, families from FAMILIES."""
-    _check_table_args(N, families)
-    cyc_rows = cyclic_rows(N) if "cyclic" in families else []
-    alt_rows = altodd_rows(N) if "altodd" in families else []
-    dual_rows = duality_rows(N) if "duality" in families else []
+    gathered = relation_rows(N, families)
     return TableRow(
         weight=N,
-        cyclic_init=len(cyc_rows),
-        cyclic_rank=rank_of(cyc_rows),
-        altodd_init=len(alt_rows),
-        altodd_rank=rank_of(alt_rows),
-        duality_init=len(dual_rows),
-        duality_rank=rank_of(dual_rows),
-        overall=rank_of(cyc_rows + alt_rows + dual_rows),
+        families={family: (len(rows), rank_of(rows)) for family, rows in gathered.items()},
+        overall=rank_of([row for block in gathered.values() for row in block]),
         expected=2 ** (N - 2) - zagier_dim(N),
     )

@@ -241,14 +241,14 @@ def test_criterion_10_rank_table(rank_table):
     with criterion(10, "rank table N = 4..8 (duality, overall, expected)"):
         rows, elapsed, _ = rank_table
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
-        assert [(rows[N].duality_init, rows[N].duality_rank) for N in range(4, 9)] == [
+        assert [rows[N].families["duality"] for N in range(4, 9)] == [
             (2, 1), (8, 4), (12, 6), (32, 16), (56, 28),
         ]
         assert [rows[N].overall for N in range(4, 9)] == [3, 5, 13, 26, 56]
         assert [rows[N].expected for N in range(4, 9)] == [3, 6, 14, 29, 60]
         # alt-odd initial counts are reported; the reference pruning is
         # underdetermined, so these are this implementation's sweep sizes
-        alt = [(rows[N].altodd_init, rows[N].altodd_rank) for N in range(4, 9)]
+        alt = [rows[N].families["altodd"] for N in range(4, 9)]
         print(f"  [criterion 10: alt-odd (init, rank) columns: {alt}]")
 
 
@@ -285,7 +285,7 @@ def test_criterion_10_cyclic_rank_column(rank_table):
     with criterion(10, "rank table N = 4..8 (cyclic rank column)"):
         table, _, rows = rank_table
         expected = {**PUBLISHED_CYCLIC_RANKS, 7: CYCLIC_RANK_W7}
-        got = {N: table[N].cyclic_rank for N in range(4, 9)}
+        got = {N: table[N].families["cyclic"][1] for N in range(4, 9)}
         assert got == expected
         # every entry agrees with an elimination that does not use rank_of
         assert {N: _fraction_rank(r) for N, r in rows.items()} == got

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import blockzeta
 from blockzeta.cli import run
+from blockzeta.rank import FAMILIES
 
 
 def invoke(capsys, *argv):
@@ -130,6 +131,18 @@ class TestKernelAndTable:
         assert code == 0
         assert "cyclic 5/3" in out and "overall 3" in out and "expected 3" in out
 
+    def test_rank_matrix_counts_each_family_once(self, capsys):
+        code, out, _ = invoke(
+            capsys, "rank", "--weight", "4", "--families", "cyclic,cyclic", "--format", "json"
+        )
+        assert code == 0
+        init = json.loads(out)["cyclic"]["init"]
+        code, out, _ = invoke(
+            capsys, "rank", "--weight", "4", "--families", "cyclic,cyclic", "--matrix"
+        )
+        assert code == 0
+        assert max(i for i, _, _ in json.loads(out)["triplets"]) < init
+
     def test_rank_subset_json(self, capsys):
         code, out, _ = invoke(
             capsys, "rank", "--weight", "5", "--families", "duality",
@@ -207,15 +220,21 @@ class TestKernelAndTable:
         assert code == 0 and "\\doteq" in out
 
 
+def _run_quietly(argv, stdin: str = "") -> tuple[int, str]:
+    """Exit code and stdout of `run(argv)` fed `stdin`; stderr is discarded."""
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            return run(list(argv)), out.getvalue()
+    finally:
+        sys.stdin = saved
+
+
 def _verify_exit_code(line: str) -> int:
     """Exit code of `verify` fed one stdin line; output is discarded."""
-    stdin = sys.stdin
-    sys.stdin = io.StringIO(line)
-    try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            return run(["verify", "--digits", "15"])
-    finally:
-        sys.stdin = stdin
+    return _run_quietly(["verify", "--digits", "15"], line)[0]
 
 
 JSON_VALUES = st.recursive(
@@ -245,6 +264,34 @@ class TestVerifyInputFuzz:
     @given(near(RECORD))
     def test_arbitrary_json_exits_0_1_or_2(self, value):
         assert _verify_exit_code(json.dumps(value)) in (0, 1, 2)
+
+
+#: Family-list tokens for the argv fuzz: the valid names and near misses.
+FAMILY_TOKENS = (*FAMILIES, "", "nope", "Duality")
+
+
+class TestRankTableArgvFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(("rank", "table")),
+        weight=st.integers(-2, 7),
+        families=st.lists(st.sampled_from(FAMILY_TOKENS), min_size=1, max_size=4),
+        matrix=st.booleans(),
+        fmt=st.sampled_from(("text", "json")),
+    )
+    def test_exits_0_or_2(self, command, weight, families, matrix, fmt):
+        # `table` takes neither --families nor --matrix: it is all of FAMILIES
+        names = ",".join(families if command == "rank" else FAMILIES)
+        argv = [command, "--weight", str(weight), "--format", fmt]
+        if command == "rank":
+            argv += ["--families", names] + ["--matrix"] * matrix
+        code, _ = _run_quietly(argv)
+        assert code in (0, 2)
+        if code == 0:
+            rank = ["rank", "--weight", str(weight), "--families", names]
+            _, matrix_out = _run_quietly([*rank, "--matrix"])
+            _, row_out = _run_quietly([*rank, "--format", "json"])
+            assert json.loads(matrix_out)["rank"] == json.loads(row_out)["overall"]
 
 
 def _module_run(*argv):

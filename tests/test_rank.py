@@ -348,14 +348,14 @@ class TestCyclicFamily:
 class TestTableRows:
     def test_row_n4(self):
         row = table_row(4)
-        assert (row.cyclic_init, row.cyclic_rank) == (5, 3)
-        assert (row.duality_init, row.duality_rank) == (2, 1)
+        assert row.families["cyclic"] == (5, 3)
+        assert row.families["duality"] == (2, 1)
         assert row.overall == 3 and row.expected == 3
 
     def test_row_n6(self):
         row = table_row(6)
-        assert (row.cyclic_init, row.cyclic_rank) == (15, 13)
-        assert (row.duality_init, row.duality_rank) == (12, 6)
+        assert row.families["cyclic"] == (15, 13)
+        assert row.families["duality"] == (12, 6)
         assert row.overall == 13 and row.expected == 14
 
     def test_overall_order_independent(self):
