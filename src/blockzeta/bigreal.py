@@ -26,16 +26,15 @@ class BigReal:
     man: int
     bits: int
     err: int
-    prec_digits: int = 0
 
     def _rescale(self, bits: int) -> "BigReal":
         if bits == self.bits:
             return self
         if bits > self.bits:
             shift = bits - self.bits
-            return BigReal(self.man << shift, bits, self.err << shift, self.prec_digits)
+            return BigReal(self.man << shift, bits, self.err << shift)
         shift = self.bits - bits
-        return BigReal(self.man >> shift, bits, (self.err >> shift) + 2, self.prec_digits)
+        return BigReal(self.man >> shift, bits, (self.err >> shift) + 2)
 
     @staticmethod
     def from_fraction(q: Fraction, bits: int) -> "BigReal":
@@ -60,7 +59,7 @@ class BigReal:
         return self + (-other)
 
     def __neg__(self) -> "BigReal":
-        return BigReal(-self.man, self.bits, self.err, self.prec_digits)
+        return BigReal(-self.man, self.bits, self.err)
 
     def __mul__(self, other: "BigReal") -> "BigReal":
         bits = max(self.bits, other.bits)
@@ -76,7 +75,7 @@ class BigReal:
         q = Fraction(q)
         man = (self.man * q.numerator) // q.denominator
         err = (self.err * abs(q.numerator)) // q.denominator + 2
-        return BigReal(man, self.bits, err, self.prec_digits)
+        return BigReal(man, self.bits, err)
 
     def __truediv__(self, other: "BigReal") -> "BigReal":
         bits = max(self.bits, other.bits)
@@ -87,9 +86,6 @@ class BigReal:
         denom = abs(b.man) - b.err
         err = ((a.err << bits) // denom) + ((abs(man) * b.err) // denom) + 3
         return BigReal(man, bits, err)
-
-    def abs(self) -> "BigReal":
-        return BigReal(abs(self.man), self.bits, self.err, self.prec_digits)
 
     def abs_at_most(self, q: Fraction) -> bool:
         """Certified |true value| <= q."""
@@ -110,12 +106,6 @@ class BigReal:
 
     def err_fraction(self) -> Fraction:
         return Fraction(self.err, 1 << self.bits)
-
-    def __float__(self) -> float:
-        try:
-            return self.man / (1 << self.bits)
-        except OverflowError:
-            return float(Fraction(self.man, 1 << self.bits))
 
     def to_decimal(self, digits: int) -> str:
         """Decimal string, truncated (not rounded) at the requested digits."""

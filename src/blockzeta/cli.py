@@ -171,6 +171,8 @@ def _verify_payload(payload: str, digits: int, max_den: int):
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     if args.family:
         idents = [build_identity(args)]
     else:
@@ -202,6 +204,11 @@ def cmd_verify(args) -> int:
 
 def cmd_dkernel(args) -> int:
     lengths = _ints(args.lengths)
+    weight = sum(lengths) - 2
+    if args.grade and not (args.grade % 2 and 3 <= args.grade < weight):
+        raise ValueError(
+            f"grade must be 0 or an odd r with 3 <= r < {weight}, got {args.grade}"
+        )
     if args.set == "closure":
         S = reflective_closure([BlockDecomposition(0, lengths)])
         comb = closure_comb(S)

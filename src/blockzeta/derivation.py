@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .identities import cyclic_sum, has_cyclic_adjacent_ones, least_rotation
-from .lincomb import LinComb, TensorTerm, combine
+from .identities import _rotations, cyclic_sum, has_cyclic_adjacent_ones, least_rotation
+from .lincomb import LinComb, PiRational, TensorTerm, combine
 from .words import BlockDecomposition, Word, block_decompose, word_of
 
 
@@ -69,16 +69,18 @@ def d_r(c: LinComb, r: int) -> LinComb:
     return combine(terms)
 
 
-def d_less_than_N(c: LinComb) -> LinComb:
-    """Direct sum of d_r over all odd grades 3 <= r < weight."""
+def _weight(c: LinComb, what: str) -> int:
+    """The common weight of the terms of c, 0 when c is zero."""
     weights = {k.weight for k, _ in c.items()}
     if len(weights) > 1:
-        raise ValueError(f"mixed weights {sorted(weights)} in derivation input")
-    if not weights:
-        return LinComb.zero()
-    N = weights.pop()
+        raise ValueError(f"mixed weights {sorted(weights)} in {what}")
+    return weights.pop() if weights else 0
+
+
+def d_less_than_N(c: LinComb) -> LinComb:
+    """Direct sum of d_r over all odd grades 3 <= r < weight."""
     out = LinComb.zero()
-    for r in range(3, N, 2):
+    for r in range(3, _weight(c, "derivation input"), 2):
         out = out + d_r(c, r)
     return out
 
@@ -104,10 +106,7 @@ class KernelReport:
 
 def kernel_report(c: LinComb) -> KernelReport:
     """Check whether D_{<N} kills the combination after cancellation."""
-    weights = {k.weight for k, _ in c.items()}
-    if len(weights) > 1:
-        raise ValueError(f"mixed weights {sorted(weights)} in kernel input")
-    N = weights.pop() if weights else 0
+    N = _weight(c, "kernel input")
     if N < 2 and not c.is_zero:
         raise ValueError(f"kernel check needs weight >= 2, got weight {N}")
     residue = d_less_than_N(c)
@@ -142,52 +141,58 @@ class StabilityReport:
         return all(g.is_full_cycle and g.m_plus_k == n + 1 for g in self.groups)
 
 
+def _right_orbits(tensors: LinComb):
+    """Group tensor terms by (left, grade), then by right-factor necklace.
+
+    Yields (left, grade, rep, quots, coeff): rep is the least rotation of
+    the right factor's block lengths and quots maps each right word with
+    that necklace to its coefficient.  coeff is the common coefficient
+    when quots is one full cyclic orbit with a uniform coefficient, and
+    None otherwise.
+    """
+    grouped: dict[tuple[Word, int], dict[tuple[int, ...], dict[Word, PiRational]]] = {}
+    for term, coeff in tensors.items():
+        rep = least_rotation(block_decompose(term.right).lengths)
+        grouped.setdefault((term.left, term.grade), {}).setdefault(rep, {})[term.right] = coeff
+    for (left, grade), orbits in grouped.items():
+        for rep, quots in orbits.items():
+            eps = next(iter(quots)).letters[0]
+            orbit = {word_of(BlockDecomposition(eps, rot)) for rot in _rotations(rep)}
+            coeffs = set(quots.values())
+            full = set(quots) == orbit and len(coeffs) == 1
+            yield left, grade, rep, quots, coeffs.pop() if full else None
+
+
 def stability_shape(lengths: tuple[int, ...], r: int) -> StabilityReport:
     """Group D_r of a cyclic sum by canonical left factor, test the cycle law.
 
     Each group's quotient factors must split into full cyclic sums over
     C_k with uniform coefficient and (left blocks) + k = n + 1; every b
-    entry is an original length or one alpha+beta+2 join.
+    entry is an original length or one alpha+beta+2 join.  A group that
+    is not a full cycle reports coefficient 0.
     """
     lengths = tuple(lengths)
-    n = len(lengths)
     report = StabilityReport(lengths, r)
-    if n == 1:
+    if len(lengths) == 1:
         return report  # nothing to group; trivially stable
-    tensors = d_r(cyclic_sum(lengths), r)
-    grouped: dict[Word, dict[tuple[int, ...], dict[Word, int]]] = {}
-    for term, coeff in tensors.items():
-        b = block_decompose(term.right).lengths
-        rep = least_rotation(b)
-        grouped.setdefault(term.left, {}).setdefault(rep, {})[term.right] = int(
-            coeff.coeff
-        )
-    for left, orbits in sorted(grouped.items(), key=lambda kv: str(kv[0])):
+    orbits = _right_orbits(d_r(cyclic_sum(lengths), r))
+    for left, _, rep, _, coeff in sorted(orbits, key=lambda o: (str(o[0]), o[2])):
         left_blocks = block_decompose(left).lengths
-        for rep, quots in sorted(orbits.items()):
-            k = len(rep)
-            any_right = next(iter(quots))
-            eps = block_decompose(any_right).eps1
-            expected = {
-                word_of(BlockDecomposition(eps, rep[i:] + rep[:i])) for i in range(k)
-            }
-            coeffs = set(quots.values())
-            full = set(quots) == expected and len(coeffs) == 1
-            extra = list(rep)
-            for l in lengths:
-                if l in extra:
-                    extra.remove(l)
-            report.groups.append(
-                StabilityGroup(
-                    left_word=left,
-                    left_blocks=left_blocks,
-                    right_b=rep,
-                    coefficient=coeffs.pop() if len(coeffs) == 1 else 0,
-                    join_values=tuple(extra),
-                    is_full_cycle=full,
-                    m_plus_k=len(left_blocks) + k,
-                )
+        extra = list(rep)
+        for l in lengths:
+            if l in extra:
+                extra.remove(l)
+        report.groups.append(
+            StabilityGroup(
+                left_word=left,
+                left_blocks=left_blocks,
+                right_b=rep,
+                coefficient=0 if coeff is None else int(coeff.coeff),
+                join_values=tuple(extra),
+                is_full_cycle=coeff is not None,
+                m_plus_k=len(left_blocks) + len(rep),
             )
+        )
     return report
 
 
@@ -200,31 +205,13 @@ def collapse_cyclic_rights(tensors: LinComb) -> LinComb:
     odd-weight residues are usually read.  Orbits whose lengths contain
     cyclically adjacent 1s, and incomplete orbits, are left untouched.
     """
-    grouped: dict[tuple[Word, int], dict[tuple[int, ...], dict[Word, "PiRational"]]] = {}
-    for term, coeff in tensors.items():
-        b = block_decompose(term.right).lengths
-        grouped.setdefault((term.left, term.grade), {}).setdefault(
-            least_rotation(b), {}
-        )[term.right] = coeff
     terms = []
-    for (left, grade), orbits in grouped.items():
-        for rep, quots in orbits.items():
-            k = len(rep)
-            eps = block_decompose(next(iter(quots))).eps1
-            orbit_words = {
-                word_of(BlockDecomposition(eps, rep[i:] + rep[:i])) for i in range(k)
-            }
-            coeffs = set(quots.values())
-            if (
-                set(quots) == orbit_words
-                and len(coeffs) == 1
-                and not has_cyclic_adjacent_ones(rep)
-            ):
-                collapsed = word_of(BlockDecomposition(eps, (sum(rep),)))
-                if not collapsed.is_trivial:
-                    terms.append((TensorTerm(left, collapsed, grade), coeffs.pop()))
-            else:
-                terms.extend(
-                    (TensorTerm(left, right, grade), c) for right, c in quots.items()
-                )
+    for left, grade, rep, quots, coeff in _right_orbits(tensors):
+        if coeff is not None and not has_cyclic_adjacent_ones(rep):
+            eps = next(iter(quots)).letters[0]
+            collapsed = word_of(BlockDecomposition(eps, (sum(rep),)))
+            if not collapsed.is_trivial:
+                terms.append((TensorTerm(left, collapsed, grade), coeff))
+        else:
+            terms.extend((TensorTerm(left, right, grade), c) for right, c in quots.items())
     return combine(terms)

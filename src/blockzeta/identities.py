@@ -68,10 +68,6 @@ class Identity:
                 f"rhs pi-exponent {self.rhs.pi_exp} != weight {self.weight}"
             )
 
-    @property
-    def rhs_is_unknown(self) -> bool:
-        return self.rhs is None
-
     def difference(self) -> LinComb:
         """lhs - rhs as a single combination (the "= 0" form)."""
         if self.rhs is None:

@@ -8,6 +8,7 @@ matching exponents.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Union
@@ -94,13 +95,7 @@ class LinComb:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[TermKey, PiRational] | None = None):
-        clean: dict[TermKey, PiRational] = {}
-        if terms:
-            for k, v in terms.items():
-                v = _as_coeff(v)
-                if not v.is_zero:
-                    clean[k] = v
-        self._terms = clean
+        self._terms = _summed(terms.items()) if terms else {}
 
     @classmethod
     def term(cls, key: TermKey, coeff=1) -> "LinComb":
@@ -130,16 +125,8 @@ class LinComb:
         return not self._terms
 
     def __add__(self, other: "LinComb") -> "LinComb":
-        out = dict(self._terms)
-        for k, v in other._terms.items():
-            cur = out.get(k)
-            s = v if cur is None else cur + v
-            if s.is_zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
         res = LinComb.__new__(LinComb)
-        res._terms = out
+        res._terms = _summed(itertools.chain(self._terms.items(), other._terms.items()))
         return res
 
     def __neg__(self) -> "LinComb":
@@ -182,10 +169,10 @@ class LinComb:
         return f"LinComb({len(self._terms)} terms)"
 
 
-def combine(terms: Iterable[tuple[TermKey, object]]) -> LinComb:
-    """Sum an iterable of (key, coefficient) pairs into one combination."""
+def _summed(pairs: Iterable[tuple[TermKey, object]]) -> dict[TermKey, PiRational]:
+    """Sum (key, coefficient) pairs per key; keys that sum to zero are dropped."""
     out: dict[TermKey, PiRational] = {}
-    for k, c in terms:
+    for k, c in pairs:
         c = _as_coeff(c)
         cur = out.get(k)
         s = c if cur is None else cur + c
@@ -193,6 +180,11 @@ def combine(terms: Iterable[tuple[TermKey, object]]) -> LinComb:
             out.pop(k, None)
         else:
             out[k] = s
+    return out
+
+
+def combine(terms: Iterable[tuple[TermKey, object]]) -> LinComb:
+    """Sum an iterable of (key, coefficient) pairs into one combination."""
     res = LinComb.__new__(LinComb)
-    res._terms = out
+    res._terms = _summed(terms)
     return res

@@ -69,6 +69,19 @@ def reset_caches() -> None:
         _word_cache.clear()
 
 
+def _factor_values(letters, M: int, F: int) -> list[int]:
+    """g(l_1..l_k; 1/2) * 2^F for k = 0..len(letters), one transform per letter.
+
+    The series starts at g('1'; z), so letters[0] is taken to be 1.
+    """
+    vals = [1 << F]
+    C = None
+    for k, bit in enumerate(letters):
+        C = series.g_init(M, F) if k == 0 else series.g_append(C, bit, M, F)
+        vals.append(series.g_value(C, M, F))
+    return vals
+
+
 def eval_word(w: Word, digits: int = DEFAULT_DIGITS) -> BigReal:
     """Value of the iterated integral of a convergent word."""
     bits = bits_for_digits(digits)
@@ -87,33 +100,20 @@ def eval_word(w: Word, digits: int = DEFAULT_DIGITS) -> BigReal:
     M = bits + _TAIL_EXTRA
     interior = w.interior
     N = len(interior)
-    # prefix factors g(a_1..a_k; 1/2), built left to right
-    pref_vals = [1 << F]
-    pref_errs = [0]
-    C = None
-    for k in range(1, N + 1):
-        C = series.g_init(M, F) if k == 1 else series.g_append(C, interior[k - 1], M, F)
-        pref_vals.append(series.g_value(C, M, F))
-        pref_errs.append(k + 3 + (1 << (F - M)))
-    # suffix factors g(flip reverse(a_{k+1}..a_N); 1/2), built right to left
-    suf_vals = [0] * (N + 1)
-    suf_errs = [0] * (N + 1)
-    suf_vals[N] = 1 << F
-    D = None
-    for k in range(N - 1, -1, -1):
-        bit = 1 - interior[k]
-        D = series.g_init(M, F) if k == N - 1 else series.g_append(D, bit, M, F)
-        suf_vals[k] = series.g_value(D, M, F)
-        suf_errs[k] = (N - k) + 3 + (1 << (F - M))
+    # prefix g(a_1..a_k; 1/2) and suffix g(flip reverse(a_{k+1}..a_N); 1/2);
+    # a factor of j >= 1 letters is off by at most j + tail ulps
+    pref_vals = _factor_values(interior, M, F)
+    suf_vals = _factor_values([1 - x for x in reversed(interior)], M, F)
+    tail = 3 + (1 << (F - M))
     total = 0
     err = 0
     for k in range(N + 1):
-        term = (pref_vals[k] * suf_vals[k]) >> F
+        term = (pref_vals[k] * suf_vals[N - k]) >> F
         if (N - k) % 2:
             term = -term
         total += term
-        err += pref_errs[k] + suf_errs[k] + 2
-    result = BigReal(total, F, err, digits)._rescale(bits)
+        err += (k + tail if k else 0) + (N - k + tail if k < N else 0) + 2
+    result = BigReal(total, F, err)._rescale(bits)
     with _word_lock:
         _word_cache[key] = result
     return result
@@ -121,10 +121,7 @@ def eval_word(w: Word, digits: int = DEFAULT_DIGITS) -> BigReal:
 
 def eval_mzv(s: ZetaComposition, digits: int = DEFAULT_DIGITS) -> BigReal:
     """zeta(s) to the requested precision; s must be convergent."""
-    if digits < 10:
-        raise ValueError("need digits >= 10")
-    if digits > MAX_DIGITS:
-        raise ValueError(f"digits {digits} beyond the configured ceiling {MAX_DIGITS}")
+    _check_digits(digits)
     if not s.is_convergent:
         raise ValueError(f"{s} diverges: last argument must be >= 2")
     if not s.args:
@@ -191,6 +188,7 @@ def verify(identity, digits: int = DEFAULT_DIGITS, max_den: int = 10**6) -> Veri
     rational recognition of lhs / zeta(N) instead, with denominators up
     to max_den.
     """
+    _check_digits(digits)
     if identity.weight > MAX_WEIGHT:
         raise ValueError(
             f"weight {identity.weight} beyond the configured ceiling {MAX_WEIGHT}"
@@ -231,6 +229,13 @@ def _recognize_zeta_multiple(identity, digits: int, max_den: int):
     zval = zeta_value(identity.weight, digits)
     ratio = val / zval
     return ratio, recognize_rational(ratio, max_den)
+
+
+def _check_digits(digits: int) -> None:
+    if digits < 10:
+        raise ValueError("need digits >= 10")
+    if digits > MAX_DIGITS:
+        raise ValueError(f"digits {digits} beyond the configured ceiling {MAX_DIGITS}")
 
 
 def _check_max_den(max_den: int) -> None:

@@ -7,10 +7,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import blockzeta
 from blockzeta.cli import run
+from blockzeta.identities import FAMILIES as IDENTITY_FAMILIES
 from blockzeta.rank import FAMILIES
 
 
@@ -185,6 +186,12 @@ class TestKernelAndTable:
                 ("verify", "--family", "symmetric", "--lengths", "2,3,1", "--max-den", "-3"),
                 "max_den must be at least 1, got -3",
             ),
+            (("verify", "--family", "hoffman", "--b", "0,0,0", "--digits", "-5"), "need digits >= 10"),
+            (("verify", "--family", "hoffman", "--b", "0,0,0", "--jobs", "0"), "jobs must be at least 1, got 0"),
+            (("verify", "--family", "hoffman", "--b", "0,0,0", "--jobs", "-3"), "jobs must be at least 1, got -3"),
+            (("dkernel", "--lengths", "2,3,3", "--grade", "-1"), "odd r with 3 <= r < 6, got -1"),
+            (("dkernel", "--lengths", "2,3,3", "--grade", "4"), "odd r with 3 <= r < 6, got 4"),
+            (("dkernel", "--lengths", "2,3,3", "--grade", "7"), "odd r with 3 <= r < 6, got 7"),
         ],
     )
     def test_bad_table_input_exit_2(self, capsys, monkeypatch, argv, message):
@@ -292,6 +299,60 @@ class TestRankTableArgvFuzz:
             _, matrix_out = _run_quietly([*rank, "--matrix"])
             _, row_out = _run_quietly([*rank, "--format", "json"])
             assert json.loads(matrix_out)["rank"] == json.loads(row_out)["overall"]
+
+
+#: Small inputs for the argv fuzz of the other subcommands.  Values go in
+#: as `--opt=value`, so argparse takes a leading minus as part of the value.
+CSV = st.lists(st.integers(-1, 6), max_size=5).map(lambda xs: ",".join(map(str, xs)))
+SMALL_INT = st.integers(-2, 3)
+BITS = st.text(alphabet="01", max_size=9)
+FORMAT = st.sampled_from(("text", "json"))
+
+
+def _family_argv(family_flag: tuple[str, ...]):
+    """`generate <family>` or `verify --family <family>` with its options."""
+    return st.builds(
+        lambda fam, lengths, b, a, m, n, x, c, mode: [
+            *family_flag, fam, f"--lengths={lengths}", f"--b={b}", f"--a={a}",
+            f"--m={m}", f"--n={n}", f"--x={x}", f"--c={c}", f"--mode={mode}",
+        ],
+        st.sampled_from((*IDENTITY_FAMILIES, "nope")), CSV, CSV,
+        st.sampled_from(("", "13", "1(1,2)3", "31", "x")),
+        SMALL_INT, SMALL_INT, SMALL_INT, SMALL_INT,
+        st.sampled_from(("transcendental", "symbolic")),
+    )
+
+
+SUBCOMMAND_ARGV = st.one_of(
+    st.builds(lambda w: ["decompose", w], BITS),
+    st.builds(lambda e, lengths: ["word", f"({e}; {lengths})"], st.integers(-1, 2), CSV),
+    st.builds(lambda v: ["mzv", v], BITS | CSV.map(lambda xs: f"z({xs})")),
+    st.builds(lambda w: ["regularise", w], BITS),
+    _family_argv(("generate",)),
+    st.builds(
+        lambda argv, d: [*argv, f"--digits={d}"],
+        _family_argv(("verify", "--family")),
+        st.sampled_from((-5, 0, 5, 10, 30)),
+    ),
+    st.builds(
+        lambda lengths, kind, grade, collapse: [
+            "dkernel", f"--lengths={lengths}", f"--set={kind}", f"--grade={grade}",
+        ] + ["--collapse"] * collapse,
+        CSV, st.sampled_from(("closure", "cyclic", "symmetric")),
+        st.sampled_from((0, -1, 3, 4, 5, 7)), st.booleans(),
+    ),
+)
+
+
+class TestSubcommandArgvFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(argv=SUBCOMMAND_ARGV, fmt=FORMAT)
+    @example(argv=["verify", "--family", "hoffman", "--b", "0,0,0", "--digits", "-5"], fmt="text")
+    def test_exits_0_1_or_2(self, argv, fmt):
+        code, out = _run_quietly([*argv, "--format", fmt])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert argv[0] == "verify" and "refuted" in out
 
 
 def _module_run(*argv):

@@ -149,6 +149,18 @@ class TestKernelReport:
         assert "not a disproof" in rep.conclusion
 
 
+LEFT = word("01011")
+
+
+def orbit(lengths, grade=3, coeffs=None, rotations=None):
+    """Sum of LEFT (x) I_bl(rotation) over the first `rotations` rotations."""
+    n = len(lengths)
+    rights = [word_of(blocks(0, *lengths[i:], *lengths[:i])) for i in range(n)]
+    coeffs = coeffs or [1] * n
+    pairs = list(zip(rights, coeffs))[:rotations]
+    return combine((TensorTerm(LEFT, right, grade), c) for right, c in pairs)
+
+
 class TestD7Residue:
     def test_collapsed_residue_matches_display(self):
         res = d_r(cyclic_sum((2, 10, 3, 2)), 7)
@@ -165,24 +177,58 @@ class TestD7Residue:
         assert collapsed == expected
 
     def test_collapse_skips_orbits_with_adjacent_unit_blocks(self):
-        left = word("01011")
-
-        def orbit(lengths):
-            n = len(lengths)
-            rights = {word_of(blocks(0, *lengths[i:], *lengths[:i])) for i in range(n)}
-            return combine((TensorTerm(left, right, 3), 1) for right in rights)
-
-        collapsed = LinComb.term(TensorTerm(left, word_of(blocks(0, 8)), 3))
+        collapsed = LinComb.term(TensorTerm(LEFT, word_of(blocks(0, 8)), 3))
         assert collapse_cyclic_rights(orbit((1, 2, 1, 4))) == collapsed
         assert collapse_cyclic_rights(orbit((1, 1, 2, 4))) == orbit((1, 1, 2, 4))
+
+
+class TestCollapseCyclicRights:
+    def test_orbit_missing_a_rotation_is_kept(self):
+        partial = orbit((1, 2, 1, 4), rotations=3)
+        assert collapse_cyclic_rights(partial) == partial
+
+    def test_orbit_with_unequal_coefficients_is_kept(self):
+        uneven = orbit((1, 2, 1, 4), coeffs=[1, 1, 1, 2])
+        assert collapse_cyclic_rights(uneven) == uneven
+
+    def test_orbits_are_collapsed_per_grade(self):
+        full3 = orbit((1, 2, 1, 4), grade=3)
+        partial5 = orbit((1, 2, 1, 4), grade=5, rotations=3)
+        collapsed3 = LinComb.term(TensorTerm(LEFT, word_of(blocks(0, 8)), 3))
+        assert collapse_cyclic_rights(full3 + partial5) == collapsed3 + partial5
+
+
+#: stability_shape(lengths, 3), one row per group: (left word, right_b,
+#: coefficient, join values, m + k).
+GRADE3_GROUPS = {
+    (2, 3, 4): [
+        ("00101", (2, 4), 1, (), 4),
+        ("00101", (3, 3), -2, (3,), 4),
+        ("01001", (2, 4), -1, (), 4),
+        ("01001", (3, 3), 2, (3,), 4),
+    ],
+    (1, 1, 2, 3): [
+        ("00011", (4,), 1, (4,), 5),
+        ("01001", (1, 1, 2), -1, (), 5),
+    ],
+}
 
 
 class TestStability:
     def test_233_grade3(self):
         rep = stability_shape((2, 3, 3), 3)
+        assert rep.holds and rep.groups == []  # D_3 of this cyclic sum cancels
+
+    @pytest.mark.parametrize("lengths", list(GRADE3_GROUPS))
+    def test_grade3_groups(self, lengths):
+        rep = stability_shape(lengths, 3)
         assert rep.holds
-        n = 3
-        assert all(g.m_plus_k == n + 1 for g in rep.groups)
+        rows = [
+            (str(g.left_word), g.right_b, g.coefficient, g.join_values, g.m_plus_k)
+            for g in rep.groups
+        ]
+        assert rows == GRADE3_GROUPS[lengths]
+        assert all(g.is_full_cycle and g.m_plus_k == len(lengths) + 1 for g in rep.groups)
 
     def test_single_block_trivial(self):
         rep = stability_shape((12,), 3)
@@ -195,8 +241,8 @@ class TestStability:
         assert singles and all(g.right_b == (10,) for g in singles)
 
     def test_join_values(self):
-        rep = stability_shape((2, 3, 3), 3)
-        for g in rep.groups:
-            assert len(g.join_values) <= 1
-            total = sum(g.left_blocks) + sum(g.right_b)
-            assert total == sum((2, 3, 3)) + 2  # boundary letters shared
+        for lengths in ((2, 3, 3), *GRADE3_GROUPS):
+            for g in stability_shape(lengths, 3).groups:
+                assert len(g.join_values) <= 1
+                total = sum(g.left_blocks) + sum(g.right_b)
+                assert total == sum(lengths) + 2  # boundary letters shared

@@ -206,6 +206,13 @@ class TestVerify:
         with pytest.raises(ValueError, match="beyond the configured ceiling"):
             verify(huge, 15)
 
+    @pytest.mark.parametrize("digits", [-5, 0, 9, 2001])
+    def test_digits_out_of_range(self, digits):
+        from blockzeta.identities import gen_hoffman
+
+        with pytest.raises(ValueError, match="need digits >= 10|beyond the configured ceiling"):
+            verify(gen_hoffman(0, 0, 0), digits=digits)
+
     def test_unknown_rhs_via_recognition(self):
         ident = gen_symmetric(blocks(0, 2, 3, 3))
         rep = verify(ident, 40)
