@@ -36,19 +36,6 @@ def canonical_word(w: Word) -> tuple[Word, int]:
     return Word(best), signs.pop()
 
 
-def raw_cuts(w: Word, r: int):
-    """Literal enumeration of the D_r cut positions on a word.
-
-    Yields (cut_word, quotient_word) for every p, trivial cuts included.
-    """
-    letters = w.letters
-    N = w.weight
-    for p in range(0, N - r + 1):
-        cut = Word(letters[p : p + r + 2])
-        quot = Word(letters[: p + 1] + letters[p + r + 1 :])
-        yield cut, quot
-
-
 def d_r(c: LinComb, r: int) -> LinComb:
     """Grade-r derivation of a combination of words."""
     if r % 2 == 0 or r < 3:
@@ -59,12 +46,14 @@ def d_r(c: LinComb, r: int) -> LinComb:
             raise TypeError(f"d_r acts on words, got {type(key).__name__}")
         if key.weight <= r:
             raise ValueError(f"d_{r} undefined on weight-{key.weight} word {key}")
-        for cut, quot in raw_cuts(key, r):
-            if cut.letters[0] == cut.letters[-1]:
+        letters = key.letters
+        for p in range(key.weight - r + 1):
+            if letters[p] == letters[p + r + 1]:
                 continue  # trivial subsequence, equal boundaries
-            rep, sign = canonical_word(cut)
+            rep, sign = canonical_word(Word(letters[p : p + r + 2]))
             if sign == 0:
                 continue
+            quot = Word(letters[: p + 1] + letters[p + r + 1 :])
             terms.append((TensorTerm(rep, quot, r), coeff * sign))
     return combine(terms)
 

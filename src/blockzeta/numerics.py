@@ -186,7 +186,8 @@ def verify(identity, digits: int = DEFAULT_DIGITS, max_den: int = 10**6) -> Veri
 
     Identities with an unknown rational right-hand side are checked by
     rational recognition of lhs / zeta(N) instead, with denominators up
-    to max_den.
+    to max_den; one whose precision cannot certify that bound is
+    inconclusive.
     """
     _check_digits(digits)
     if identity.weight > MAX_WEIGHT:
@@ -197,7 +198,13 @@ def verify(identity, digits: int = DEFAULT_DIGITS, max_den: int = 10**6) -> Veri
     t0 = time.monotonic()
     threshold = Fraction(1, 10**digits)
     if identity.rhs is None:
-        ratio, rec = _recognize_zeta_multiple(identity, digits, max_den)
+        ratio = eval_lincomb(identity.lhs, digits) / zeta_value(identity.weight, digits)
+        try:
+            rec = recognize_rational(ratio, max_den)
+        except ValueError as exc:  # max_den is checked above: too little precision
+            rec, note = None, str(exc)
+        else:
+            note = "no small rational multiple recognised"
         elapsed = time.monotonic() - t0
         if rec is not None:
             residual = ratio - BigReal.from_fraction(rec, ratio.bits)
@@ -207,8 +214,7 @@ def verify(identity, digits: int = DEFAULT_DIGITS, max_den: int = 10**6) -> Veri
                 note=f"lhs = ({rec}) * zeta({identity.weight})",
             )
         return VerificationReport(
-            identity.describe(), "inconclusive", ratio, 0, digits, elapsed,
-            note="no small rational multiple recognised",
+            identity.describe(), "inconclusive", ratio, 0, digits, elapsed, note=note
         )
     residual = eval_lincomb(identity.difference(), digits)
     elapsed = time.monotonic() - t0
@@ -224,13 +230,6 @@ def verify(identity, digits: int = DEFAULT_DIGITS, max_den: int = 10**6) -> Veri
     )
 
 
-def _recognize_zeta_multiple(identity, digits: int, max_den: int):
-    val = eval_lincomb(identity.lhs, digits)
-    zval = zeta_value(identity.weight, digits)
-    ratio = val / zval
-    return ratio, recognize_rational(ratio, max_den)
-
-
 def _check_digits(digits: int) -> None:
     if digits < 10:
         raise ValueError("need digits >= 10")
@@ -244,11 +243,13 @@ def _check_max_den(max_den: int) -> None:
 
 
 def recognize_rational(x: BigReal, max_den: int) -> Fraction | None:
-    """Continued-fraction recognition with a confirmation margin.
+    """Recognition of the closest p/q, q <= max_den, with a confirmation margin.
 
-    Accepts a convergent p/q, q <= max_den, only when x matches it to
-    its own error bound and carries at least 20 digits of confirmation
-    beyond what the approximation q^2 could produce by chance.
+    Accepts p/q only when x matches it to its own error bound and
+    carries at least 20 digits of confirmation beyond what the
+    approximation q^2 could produce by chance.  Within that tolerance
+    at most one fraction with q <= max_den fits, so the closest one,
+    `Fraction.limit_denominator`, is the only candidate.
     """
     _check_max_den(max_den)
     need = Fraction(1, max_den * max_den * 10**20)
@@ -257,22 +258,9 @@ def recognize_rational(x: BigReal, max_den: int) -> Fraction | None:
             f"recognition needs error <= {need}; recompute at higher precision"
         )
     target = x.as_fraction()
-    # continued fraction convergents of target: p_{-1}=1, p_{-2}=0
-    p_prev, q_prev, p_cur, q_cur = 0, 1, 1, 0
-    a_rest = target
-    for _ in range(200):
-        a = a_rest.numerator // a_rest.denominator
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-        if q_cur > max_den:
-            break
-        cand = Fraction(p_cur, q_cur)
-        if abs(target - cand) <= x.err_fraction() + need:
-            return cand
-        frac_part = a_rest - a
-        if frac_part == 0:
-            break
-        a_rest = 1 / frac_part
+    cand = target.limit_denominator(max_den)
+    if abs(target - cand) <= x.err_fraction() + need:
+        return cand
     return None
 
 

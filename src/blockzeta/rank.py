@@ -327,8 +327,7 @@ def _echelon_mod(
     """Reduced echelon form of `mat` mod p, on its free columns only.
 
     Returns the pivot columns and, per pivot row, its entries in the free
-    columns (in column order).  Rows are taken in the order given; a pivot
-    row with under a quarter of its tail nonzero is applied entry by entry.
+    columns (in column order).  Rows are taken in the order given.
     """
     # Entries are reduced mod p only where they are read: each update adds
     # less than p^2 in size, so they stay a few machine words long.
@@ -343,17 +342,13 @@ def _echelon_mod(
         inv = pow(row[col], -1, p)
         tail = [x * inv % p for x in row[col + 1 :]]
         nonzero = [(j, x) for j, x in enumerate(tail, col + 1) if x]
-        sparse = 4 * len(nonzero) < len(tail)
         for other in rows:
             f = other[col] % p
             if not f:
                 continue
             other[col] = 0
-            if sparse:
-                for j, x in nonzero:
-                    other[j] -= f * x
-            else:
-                other[col + 1 :] = [a - f * b for a, b in zip(other[col + 1 :], tail)]
+            for j, x in nonzero:
+                other[j] -= f * x
         pivots.append(col)
         tails.append(tail)
         if not rows:

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import blockzeta
-from blockzeta.cli import run
+from blockzeta import serial
+from blockzeta.cli import make_parser, run
 from blockzeta.identities import FAMILIES as IDENTITY_FAMILIES
+from blockzeta.identities import gen_cyclic_full, gen_hoffman, gen_symmetric
 from blockzeta.rank import FAMILIES
+from blockzeta.words import BlockDecomposition
 
 
 def invoke(capsys, *argv):
@@ -104,6 +107,25 @@ class TestGenerateVerify:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bogus)))
         code, out, _ = invoke(capsys, "verify", "--digits", "20")
         assert code == 1 and "[refuted]" in out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_uncertifiable_recognition_does_not_abort_batch(self, capsys, monkeypatch, jobs):
+        # 15 digits cannot certify a denominator up to the default --max-den,
+        # so the symmetric identity (unknown right-hand side) is inconclusive
+        batch = [
+            gen_cyclic_full((1, 1, 2, 3)),
+            gen_symmetric(BlockDecomposition(0, (2, 3, 3))),
+            gen_hoffman(0, 0, 0),
+        ]
+        stdin = "\n".join(serial.dumps(serial.identity_to_json(i)) for i in batch)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, _ = invoke(
+            capsys, "verify", "--digits", "15", "--jobs", jobs, "--format", "json"
+        )
+        assert code == 0
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [r["status"] for r in reports] == ["verified", "inconclusive", "verified"]
+        assert "recompute at higher precision" in reports[1]["note"]
 
     def test_usage_error_exit_2(self, capsys):
         assert run(["generate"]) == 2 or run(["nonsense"]) == 2
@@ -353,6 +375,10 @@ class TestSubcommandArgvFuzz:
         assert code in (0, 1, 2)
         if code == 1:
             assert argv[0] == "verify" and "refuted" in out
+
+    def test_parser_is_built_once(self):
+        # parse_args leaves the parser as it was, so every run shares one
+        assert make_parser() is make_parser()
 
 
 def _module_run(*argv):

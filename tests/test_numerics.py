@@ -255,6 +255,15 @@ class TestRecognizeRational:
         ratio = eval_mzv(zc(3), 60) / eval_mzv(zc(2), 60)
         assert recognize_rational(ratio, 10**6) is None
 
+    def test_long_continued_fraction(self):
+        # Fibonacci F231/F230: 229 partial quotients, a 48-digit denominator
+        f230, f231 = 0, 1
+        for _ in range(230):
+            f230, f231 = f231, f230 + f231
+        x = BigReal.from_fraction(Fraction(f231, f230), 700)
+        assert recognize_rational(x, 10**48) == Fraction(f231, f230)
+        assert recognize_rational(x, f230 - 1) is None
+
     def test_insufficient_precision_raises(self):
         x = BigReal.from_fraction(Fraction(1, 3), bits_for_digits(12))
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ calls = [
     ["dkernel", "--lengths", "2,10,3,2", "--set", "cyclic", "--grade", "7", "--collapse"],
     ["table", "--weight", "5"],
     ["verify", "--family", "hoffman", "--b", "0,0,0", "--digits", "30"],
+    ["verify", "--family", "symmetric", "--lengths", "2,3,3", "--digits", "30"],
 ]
 with redirect_stdout(io.StringIO()):
     codes = [cli.run(argv) for argv in calls]
@@ -35,10 +36,12 @@ print(json.dumps({"codes": codes, "calls": layers.finish()["calls"]}))
 
 TRACED = (
     "derivation.d_r",
+    "derivation.canonical_word",
     "lincomb.combine",
     "series.g_init",
     "rank.rank_of",
     "numerics.eval_word",
+    "numerics.recognize_rational",
 )
 
 
@@ -49,5 +52,5 @@ def test_traced_pass_binds_every_patched_name():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     assert all(result["calls"].get(name, 0) > 0 for name in TRACED), result["calls"]
