@@ -48,8 +48,6 @@ from .identities import (
     Identity,
     Zeta123Form,
     compute_Lk,
-    cyc,
-    cyc_orbit,
     cyclic_sum,
     gen_altodd_even,
     gen_altodd_odd,

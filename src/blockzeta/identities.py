@@ -10,18 +10,22 @@ numeric verification and by the rank table.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .lincomb import LinComb, PiRational, combine
-from .regalgebra import _compositions, shuffle_product
+from .regalgebra import _compositions, shuffle_product, zeta_two_power
 from .words import (
     ONE,
     BlockDecomposition,
     Word,
     ZetaComposition,
+    block_decompose,
+    mzv_to_word,
     word_of,
+    word_to_mzv,
 )
 
 FAMILIES = (
@@ -138,10 +142,21 @@ def gen_symmetric(B: BlockDecomposition) -> Identity:
     N = B.weight
     if N % 2 or N < 2:
         raise ValueError(f"symmetric insertion needs even weight >= 2, got {N}")
-    lhs = combine(
-        (block_word(perm), 1) for perm in itertools.permutations(B.lengths)
-    )
+    # each distinct ordering stands for prod m_i! of the n! permutations
+    mult = prod(factorial(m) for m in Counter(B.lengths).values())
+    lhs = combine((block_word(perm), mult) for perm in _distinct_permutations(B.lengths))
     return Identity("symmetric", {"lengths": B.lengths}, N, lhs, None)
+
+
+def _distinct_permutations(items: tuple[int, ...]):
+    """Every distinct ordering of items once, in lexicographic order."""
+    if not items:
+        yield ()
+    for x in sorted(set(items)):
+        rest = list(items)
+        rest.remove(x)
+        for tail in _distinct_permutations(tuple(rest)):
+            yield (x,) + tail
 
 
 def compute_Lk(lengths: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
@@ -223,7 +238,7 @@ def gen_cyclic_full(lengths, mode: str = "transcendental") -> Identity:
 
 
 # --------------------------------------------------------------------------
-# 123-MZVs and the cyc operator
+# 123-MZVs and their block-rotation orbits
 
 
 @dataclass(frozen=True)
@@ -231,7 +246,8 @@ class Zeta123Form:
     """123-MZV written as zeta(a1,...,a_{n-1} | b1,...,b_n).
 
     tokens are '1', '3' or 'T' (the compound argument (1,2)); bs are the
-    exponents of the interleaved blocks of 2s.
+    exponents of the interleaved blocks of 2s.  This is the input format
+    of the 123 families; their orbits come from the expanded word.
     """
 
     tokens: tuple[str, ...]
@@ -270,10 +286,6 @@ class Zeta123Form:
     @property
     def weight(self) -> int:
         return self.expand().weight
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.bs)
 
     def __str__(self) -> str:
         toks = ",".join("(1,2)" if t == "T" else t for t in self.tokens)
@@ -319,65 +331,29 @@ def parse_123(s: ZetaComposition) -> Zeta123Form:
     return Zeta123Form(tuple(tokens), tuple(bs))
 
 
-def cyc(z: Zeta123Form) -> tuple[Zeta123Form, int]:
-    """One step of the cyclic operator; returns (image, sign)."""
-    toks, bs = z.tokens, z.bs
-    if not toks:
-        return z, 1
-    if toks[0] == "3":
-        return Zeta123Form(toks[1:] + ("T",), bs[1:] + (bs[0],)), -1
-    k = 0
-    while k < len(toks) and toks[k] == "T":
-        k += 1
-    sign = -1 if k % 2 else 1
-    if k == len(toks):
-        return Zeta123Form(("3",) * k, bs[1 : k + 1] + (bs[0],)), sign
-    # leading T^k then '1','3'
-    new_toks = toks[k + 2 :] + ("1", "3") + ("3",) * k
-    new_bs = bs[k + 2 :] + (bs[0],) + bs[1 : k + 1] + (bs[k + 1],)
-    return Zeta123Form(new_toks, new_bs), sign
-
-
-def cyc_orbit(z: Zeta123Form) -> list[tuple[Zeta123Form, int]]:
-    """The full cyc orbit with accumulated signs; length = block count."""
-    out = [(z, 1)]
-    cur, acc = z, 1
-    for _ in range(z.n_blocks - 1):
-        cur, s = cyc(cur)
-        acc *= s
-        out.append((cur, acc))
-    return out
-
-
-def _cyc123_sign_exponent(tokens: tuple[str, ...]) -> int | None:
-    """wt/2 - d mod 2 from the a-tokens alone; None when the weight is odd."""
-    tw = sum(1 if t == "1" else 3 for t in tokens)
-    if tw % 2:
-        return None
-    ones = sum(1 for t in tokens if t == "1")
-    threes = sum(1 for t in tokens if t == "3")
-    return (tw // 2 - ones - threes) % 2
-
-
 def gen_cyc123(z: Zeta123Form, family: str = "cyc123", params: dict | None = None) -> Identity:
-    """Cyclic insertion for a 123-MZV: the cyc-orbit sum."""
-    wt = z.weight
-    d = z.depth
-    lhs = combine((form.expand(), sign) for form, sign in cyc_orbit(z))
-    if wt % 2:
+    """Cyclic insertion for a 123-MZV: the block cyclic sum read as MZVs.
+
+    Each rotation of the block lengths of z's word is read back through
+    word_to_mzv and signed so that z itself has coefficient 1.  At even
+    weight N the sum is the I_bl(N+2) term that cyclic_head subtracts,
+    (-1)^(N/2) zeta({2}^(N/2)) in the same sign; at odd weight it is 0.
+    """
+    w, sign = mzv_to_word(z.expand())
+    N = w.weight
+    terms = []
+    for rot, c in cyclic_sum(block_decompose(w).lengths).items():
+        comp, s = word_to_mzv(rot)
+        terms.append((comp, c * (sign * s)))
+    if N % 2:
         rhs = PiRational(Fraction(0))
-        assert _cyc123_sign_exponent(z.tokens) is None
     else:
-        exp = (wt // 2 - d) % 2
-        token_exp = _cyc123_sign_exponent(z.tokens)
-        if token_exp != exp:
-            raise AssertionError("cyc123 sign rule mismatch between formulas")
-        rhs = PiRational(Fraction((-1) ** exp, factorial(wt + 1)), wt)
+        rhs = zeta_two_power(N // 2) * (sign * (-1) ** (N // 2))
     return Identity(
         family,
         params if params is not None else {"form": str(z)},
-        wt,
-        lhs,
+        N,
+        combine(terms),
         rhs,
     )
 
@@ -458,7 +434,7 @@ def gen_composition_sums(kind: str, m: int, n: int = 1) -> Identity:
 
 
 def _orbit_sum(tokens: tuple[str, ...], bs_list) -> LinComb:
-    """Sum of the cyc-orbit sums of zeta(tokens | bs) over bs_list."""
+    """Sum of the block-rotation orbit sums of zeta(tokens | bs) over bs_list."""
     return combine(
         term for bs in bs_list for term in gen_cyc123(Zeta123Form(tokens, bs)).lhs.items()
     )
@@ -627,9 +603,18 @@ def gen_altodd_odd(lengths, x: int) -> Identity:
 
 
 def gen_double_alt(lengths) -> Identity:
-    """Standalone double-Alt identities for 4 and 6 blocks (odd weight)."""
+    """Standalone double-Alt identities for 4 and 6 blocks (odd weight).
+
+    With 4 blocks the identity is false when two cyclically neighbouring
+    lengths are both 1, so those inputs are rejected; with 6 blocks such
+    inputs are kept.
+    """
     lengths = tuple(lengths)
     if len(lengths) == 4:
+        if has_cyclic_adjacent_ones(lengths):
+            raise ValueError(
+                f"4-block double-alt is false for {lengths}: it has cyclically adjacent (1,1)"
+            )
         partitions = ((1, 3), (2, 4))
     elif len(lengths) == 6:
         partitions = ((1, 4, 6), (2, 3, 5))

@@ -21,7 +21,6 @@ from blockzeta.derivation import (
     kernel_report,
 )
 from blockzeta.identities import (
-    cyc_orbit,
     cyclic_sum,
     gen_altodd_even,
     gen_altodd_odd,
@@ -53,6 +52,8 @@ from blockzeta.words import (
     word_to_mzv,
     zc,
 )
+
+from cyc_reference import cyc_orbit
 
 
 @contextmanager

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb, factorial
@@ -9,8 +10,6 @@ from blockzeta.identities import (
     alt_sum,
     altodd_odd_rows,
     compute_Lk,
-    cyc,
-    cyc_orbit,
     cyclic_sum,
     gen_altodd_even,
     gen_altodd_odd,
@@ -37,6 +36,8 @@ from blockzeta.words import (
     word_to_mzv,
     zc,
 )
+
+from cyc_reference import cyc, cyc_orbit, orbit_sum
 
 
 class TestComputeLk:
@@ -117,19 +118,33 @@ class TestSymmetric:
         with pytest.raises(ValueError):
             gen_symmetric(blocks(0, 4, 3))
 
+    def test_matches_every_permutation(self):
+        for lengths in [(2, 2, 2), (1, 1, 2, 2, 2), (2, 2, 3, 3, 4), (1, 2, 1, 2, 1, 2, 1)]:
+            brute = sum(
+                (LinComb.term(word_of(blocks(0, *p))) for p in itertools.permutations(lengths)),
+                LinComb.zero(),
+            )
+            assert gen_symmetric(blocks(0, *lengths)).lhs == brute, lengths
+
+    def test_many_repeats_weighted_not_walked(self):
+        # 11! permutations, 11 distinct words, each standing for 10! of them
+        ident = gen_symmetric(blocks(0, *(1,) * 10, 2))
+        assert ident.weight == 10 and len(ident.lhs) == 11
+        assert {c.coeff for _, c in ident.lhs.items()} == {factorial(10)}
+
 
 class TestCycOperator:
     def test_case_i(self):
+        # cyc(z(3,3 | 1,2,3)) = -z(3,(1,2) | 2,3,1)
         z = Zeta123Form(("3", "3"), (1, 2, 3))
-        out, sign = cyc(z)
-        assert sign == -1
-        assert out == Zeta123Form(("3", "T"), (2, 3, 1))
+        image = Zeta123Form(("3", "T"), (2, 3, 1)).expand()
+        assert gen_cyc123(z).lhs.get(image) == PiRational(Fraction(-1))
 
     def test_bbbl_shift_by_two(self):
+        # cyc(z(1,3,1,3 | 0,1,2,3,4)) = +z(1,3,1,3 | 2,3,4,0,1)
         z = Zeta123Form(("1", "3", "1", "3"), (0, 1, 2, 3, 4))
-        out, sign = cyc(z)
-        assert sign == 1
-        assert out == Zeta123Form(("1", "3", "1", "3"), (2, 3, 4, 0, 1))
+        image = Zeta123Form(("1", "3", "1", "3"), (2, 3, 4, 0, 1)).expand()
+        assert gen_cyc123(z).lhs.get(image) == PiRational(Fraction(1))
 
     def test_orbit_closes_with_positive_sign(self):
         rng = random.Random(8)
@@ -236,6 +251,31 @@ class TestCyc123Identities:
                 words = words + LinComb.term(w, sign * s)
             lengths = block_decompose(mzv_to_word(z.expand())[0]).lengths
             assert words * ((-1) ** d) == cyclic_sum(lengths)
+
+    def test_every_small_form_matches_reference(self):
+        # all 4 665 forms with at most four tokens and every b <= 2: the
+        # block-rotation orbit equals the token orbit, and the rhs is
+        # (-1)^((N/2 - d) mod 2) pi^N / (N+1)! at even weight N, else 0
+        checked = 0
+        for n in range(5):
+            for tokens in itertools.product(("1", "3", "T"), repeat=n):
+                for bs in itertools.product(range(3), repeat=n + 1):
+                    try:
+                        z = Zeta123Form(tokens, bs)
+                    except ValueError:
+                        break  # the tokens are invalid for every bs
+                    ident = gen_cyc123(z)
+                    assert ident.lhs == orbit_sum(z), z
+                    N, d = z.weight, z.depth
+                    if N % 2:
+                        assert ident.rhs == PiRational(Fraction(0)), z
+                    else:
+                        sign = (-1) ** ((N // 2 - d) % 2)
+                        assert ident.rhs == PiRational(
+                            Fraction(sign, factorial(N + 1)), N
+                        ), z
+                    checked += 1
+        assert checked == 4665
 
     def test_general_hoffman_reduces_to_hoffman(self):
         g = gen_general_hoffman(1, (0, 0), 1)
@@ -362,3 +402,14 @@ class TestAltFamilies:
         assert six.weight == 15
         with pytest.raises(ValueError):
             gen_double_alt((1, 2, 3, 4, 5))
+
+    def test_double_alt_rejects_four_blocks_with_adjacent_ones(self):
+        # false at 4 blocks: refuted numerically for every such input
+        for lengths in [(1, 1, 2, 3), (1, 2, 3, 1), (3, 1, 1, 4)]:
+            with pytest.raises(ValueError, match="cyclically adjacent"):
+                gen_double_alt(lengths)
+        # at 6 blocks the pair is allowed: these two are true
+        from blockzeta.numerics import verify
+
+        for lengths in [(1, 1, 2, 2, 3, 4), (1, 1, 2, 2, 4, 3)]:
+            assert verify(gen_double_alt(lengths), 30).status == "verified"

@@ -101,10 +101,11 @@ def _reference_regularise(c):
 
 class TestCompositions:
     def test_matches_recursive_oracle(self):
-        # compared element by element: one list runs to 352 716 tuples
+        # totals -1..8 and 0..9 parts keep the boundary cases (a negative
+        # total, no parts, more parts than the total) at 48 620 tuples
         end = object()
-        for total in range(-1, 12):
-            for parts in range(0, 12):
+        for total in range(-1, 9):
+            for parts in range(0, 10):
                 pairs = itertools.zip_longest(
                     _compositions(total, parts),
                     _recursive_compositions(total, parts),
