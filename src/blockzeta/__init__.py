@@ -29,15 +29,10 @@ from .regalgebra import (
     zeta_even_coeff,
     zeta_two_power,
 )
-from .reflect import (
-    Subsequence,
-    enumerate_subsequences,
-    refl_block,
-    refl_subsequence,
-    reflective_closure,
-)
+from .reflect import refl_block, reflective_closure
 from .derivation import (
     canonical_word,
+    closure_comb,
     collapse_cyclic_rights,
     d_less_than_N,
     d_r,

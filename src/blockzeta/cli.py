@@ -178,7 +178,10 @@ def cmd_verify(args) -> int:
         idents = [build_identity(args)]
     else:
         lines = [ln for ln in sys.stdin.read().splitlines() if ln.strip()]
-        idents = [serial.identity_from_json(json.loads(ln)) for ln in lines]
+        try:
+            idents = [serial.identity_from_json(json.loads(ln)) for ln in lines]
+        except RecursionError:
+            raise ValueError("a stdin record is nested too deeply") from None
     if args.jobs > 1 and len(idents) > 1:
         payloads = [serial.dumps(serial.identity_to_json(i)) for i in idents]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

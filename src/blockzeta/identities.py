@@ -150,13 +150,20 @@ def gen_symmetric(B: BlockDecomposition) -> Identity:
 
 def _distinct_permutations(items: tuple[int, ...]):
     """Every distinct ordering of items once, in lexicographic order."""
-    if not items:
-        yield ()
-    for x in sorted(set(items)):
-        rest = list(items)
-        rest.remove(x)
-        for tail in _distinct_permutations(tuple(rest)):
-            yield (x,) + tail
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        # next permutation: raise the rightmost ascent, then sort the tail
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def compute_Lk(lengths: tuple[int, ...], k: int) -> list[tuple[int, ...]]:

@@ -66,7 +66,6 @@ class PiRational:
 
 
 ZERO = PiRational(Fraction(0))
-ONE_COEFF = PiRational(Fraction(1))
 
 TermKey = Union[Word, ZetaComposition, "TensorTerm"]
 

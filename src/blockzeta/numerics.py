@@ -19,7 +19,7 @@ from . import series
 from .bigreal import BigReal, bits_for_digits, pi_power
 from .lincomb import LinComb
 from .regalgebra import bernoulli, regularise
-from .words import ONE, Word, ZetaComposition, mzv_to_word
+from .words import Word, ZetaComposition, mzv_to_word
 
 DEFAULT_DIGITS = 50
 MAX_DIGITS = 2000  # ceiling: quadratic cost makes more impractical here
@@ -154,9 +154,7 @@ def eval_lincomb(c: LinComb, digits: int = DEFAULT_DIGITS) -> BigReal:
     for key, coeff in flat.items():
         if not isinstance(key, ZetaComposition):
             raise TypeError(f"cannot evaluate term {key!r}")
-        base = (
-            BigReal.from_int(1, bits) if key is ONE or not key.args else eval_mzv(key, digits)
-        )
+        base = BigReal.from_int(1, bits) if not key.args else eval_mzv(key, digits)
         term = base.mul_fraction(coeff.coeff)
         if coeff.pi_exp:
             term = term * pi_power(coeff.pi_exp, bits)

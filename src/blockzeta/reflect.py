@@ -1,10 +1,8 @@
-"""Reflection operators, reflective closures and subsequence encodings."""
+"""Block reflections refl_{j,k} and reflective closures."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import BlockDecomposition, ParseError, Word, word_of
+from .words import BlockDecomposition
 
 
 def refl_block(B: BlockDecomposition, j: int, k: int) -> BlockDecomposition:
@@ -43,128 +41,3 @@ def reflective_closure(initial) -> frozenset[BlockDecomposition]:
                     nxt.append(img)
         frontier = nxt
     return frozenset(seen)
-
-
-@dataclass(frozen=True)
-class Subsequence:
-    """A derivation cut on word_of(B), encoded as (B; s, t; alpha, beta)."""
-
-    B: BlockDecomposition
-    s: int
-    t: int
-    alpha: int
-    beta: int
-
-    def __post_init__(self):
-        n = self.B.n_blocks
-        if not 1 <= self.s <= self.t <= n:
-            raise ValueError(f"invalid block range ({self.s},{self.t})")
-        if not 0 <= self.alpha < self.B.block_len(self.s):
-            raise ValueError(f"alpha={self.alpha} outside block {self.s}")
-        if not 0 <= self.beta < self.B.block_len(self.t):
-            raise ValueError(f"beta={self.beta} outside block {self.t}")
-        if self.s == self.t and self.alpha + self.beta + 2 > self.B.block_len(self.s):
-            raise ValueError("single-block cut too short: alpha + beta + 2 > length")
-
-    @classmethod
-    def parse(cls, text: str) -> "Subsequence":
-        s = text.strip()
-        if not s.startswith("(") or not s.endswith(")"):
-            raise ParseError("expected '((e; l,...); s,t; a,b)'", 0)
-        inner = s[1:-1].strip()
-        if not inner.startswith("("):
-            raise ParseError("expected inner block decomposition", 1)
-        depth = 0
-        end = -1
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    end = i
-                    break
-        if end < 0:
-            raise ParseError("unbalanced parentheses", len(s))
-        B = BlockDecomposition.parse(inner[: end + 1])
-        rest = inner[end + 1 :].strip()
-        if not rest.startswith(";"):
-            raise ParseError("expected ';' after block decomposition", end + 1)
-        parts = [p.strip() for p in rest[1:].split(";")]
-        if len(parts) != 2:
-            raise ParseError("expected '; s,t; a,b' suffix", end + 1)
-        try:
-            s_idx, t_idx = (int(x) for x in parts[0].split(","))
-            a, b = (int(x) for x in parts[1].split(","))
-        except ValueError:
-            raise ParseError("bad subsequence indices", end + 1) from None
-        return cls(B, s_idx, t_idx, a, b)
-
-    def __str__(self) -> str:
-        return f"({self.B}; {self.s},{self.t}; {self.alpha},{self.beta})"
-
-    @property
-    def length(self) -> int:
-        """Letter length of the cut, boundary letters included."""
-        return (
-            sum(self.B.block_len(i) for i in range(self.s, self.t + 1))
-            - self.alpha
-            - self.beta
-        )
-
-    @property
-    def start_pos(self) -> int:
-        """0-based index of the first cut letter in word_of(B)."""
-        return sum(self.B.block_len(i) for i in range(1, self.s)) + self.alpha
-
-    def cut_word(self) -> Word:
-        w = word_of(self.B)
-        p = self.start_pos
-        return Word(w.letters[p : p + self.length])
-
-    def quotient_word(self) -> Word:
-        """Remaining sequence; both boundary letters of the cut are kept."""
-        w = word_of(self.B)
-        p = self.start_pos
-        q = p + self.length - 1
-        return Word(w.letters[: p + 1] + w.letters[q:])
-
-    @property
-    def is_trivial(self) -> bool:
-        w = self.cut_word()
-        return w.letters[0] == w.letters[-1]
-
-
-def refl_subsequence(P: Subsequence) -> Subsequence:
-    """Reflect the blocks containing the cut, carrying the cut along."""
-    return Subsequence(refl_block(P.B, P.s, P.t), P.s, P.t, P.beta, P.alpha)
-
-
-def subsequence_at(B: BlockDecomposition, start: int, length: int) -> Subsequence:
-    """Encode the cut of `length` letters starting at 0-based `start`."""
-    w = word_of(B)
-    if length < 2 or start < 0 or start + length > len(w):
-        raise ValueError("cut outside the word")
-    bounds = []
-    pos = 0
-    for l in B.lengths:
-        bounds.append((pos, pos + l - 1))
-        pos += l
-    end = start + length - 1
-    s = t = None
-    for i, (lo, hi) in enumerate(bounds, start=1):
-        if lo <= start <= hi:
-            s = i
-            alpha = start - lo
-        if lo <= end <= hi:
-            t = i
-            beta = hi - end
-    return Subsequence(B, s, t, alpha, beta)
-
-
-def enumerate_subsequences(B: BlockDecomposition, L: int) -> list[Subsequence]:
-    """All cuts of odd letter-length L, in word-position order."""
-    if L % 2 == 0 or L < 5:
-        raise ValueError(f"cut length must be odd and >= 5, got {L}")
-    total = sum(B.lengths)
-    return [subsequence_at(B, p, L) for p in range(0, total - L + 1)]

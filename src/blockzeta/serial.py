@@ -15,8 +15,6 @@ def term_to_string(key) -> tuple[str, str]:
         return "word", str(key)
     if isinstance(key, ZetaComposition):
         return "zeta", str(key)
-    if isinstance(key, TensorTerm):
-        return "tensor", f"{key.left}(x){key.right}@{key.grade}"
     raise TypeError(f"unknown term type {type(key).__name__}")
 
 
@@ -27,10 +25,6 @@ def term_from_string(kind: str, text: str):
         return Word.parse(text)
     if kind == "zeta":
         return ZetaComposition.parse(text)
-    if kind == "tensor":
-        body, _, grade = text.rpartition("@")
-        left, _, right = body.partition("(x)")
-        return TensorTerm(Word.parse(left), Word.parse(right), int(grade))
     raise ParseError(f"unknown term kind {kind!r}", 0)
 
 
@@ -185,17 +179,7 @@ def term_to_latex(key) -> str:
     if isinstance(key, Word):
         inner = ",".join(str(x) for x in key.interior)
         return f"I({key.letters[0]}; {inner}; {key.letters[-1]})"
-    if isinstance(key, TensorTerm):
-        return (
-            f"I^{{\\mathfrak{{L}}}}({_word_args(key.left)}) \\otimes "
-            f"I^{{\\mathfrak{{m}}}}({_word_args(key.right)})"
-        )
     raise TypeError(f"unknown term type {type(key).__name__}")
-
-
-def _word_args(w: Word) -> str:
-    inner = ",".join(str(x) for x in w.interior)
-    return f"{w.letters[0]}; {inner}; {w.letters[-1]}"
 
 
 def lincomb_to_latex(c: LinComb) -> str:

@@ -152,20 +152,6 @@ class BlockDecomposition:
     def weight(self) -> int:
         return sum(self.lengths) - 2
 
-    def block_start(self, i: int) -> int:
-        """Starting digit of block i (1-based)."""
-        if not 1 <= i <= self.n_blocks:
-            raise IndexError(f"block index {i} out of range")
-        return (self.eps1 + sum(l - 1 for l in self.lengths[: i - 1])) % 2
-
-    def block_end(self, i: int) -> int:
-        return (self.block_start(i) + self.lengths[i - 1] - 1) % 2
-
-    def block_len(self, i: int) -> int:
-        if not 1 <= i <= self.n_blocks:
-            raise IndexError(f"block index {i} out of range")
-        return self.lengths[i - 1]
-
     @property
     def is_trivial(self) -> bool:
         """Weight and block count of equal parity: equal bounds, integral 0."""

@@ -215,6 +215,7 @@ class TestKernelAndTable:
             (("dkernel", "--lengths", "2,3,3", "--grade", "4"), "odd r with 3 <= r < 6, got 4"),
             (("dkernel", "--lengths", "2,3,3", "--grade", "7"), "odd r with 3 <= r < 6, got 7"),
             (("generate", "double-alt", "--lengths", "1,1,2,3"), "cyclically adjacent (1,1)"),
+            (("verify", "<", "[" * 100000), "a stdin record is nested too deeply"),
         ],
     )
     def test_bad_table_input_exit_2(self, capsys, monkeypatch, argv, message):

@@ -6,6 +6,7 @@ from math import comb, factorial
 import pytest
 
 from blockzeta.identities import (
+    Identity,
     Zeta123Form,
     alt_sum,
     altodd_odd_rows,
@@ -25,19 +26,27 @@ from blockzeta.identities import (
     gen_symmetric,
     parse_123,
 )
-from blockzeta.lincomb import LinComb, PiRational
+from blockzeta.lincomb import LinComb, PiRational, TensorTerm
 from blockzeta.regalgebra import shuffle_product
 from blockzeta.words import (
     ZetaComposition,
     block_decompose,
     blocks,
     mzv_to_word,
+    word,
     word_of,
     word_to_mzv,
     zc,
 )
 
 from cyc_reference import cyc, cyc_orbit, orbit_sum
+
+
+class TestIdentity:
+    def test_rejects_tensor_terms(self):
+        lhs = LinComb.term(TensorTerm(word("01011"), word("0101"), 3))
+        with pytest.raises(ValueError, match="identity terms are words or zeta values"):
+            Identity("cyclic-basic", {}, 3, lhs, None)
 
 
 class TestComputeLk:
@@ -131,6 +140,12 @@ class TestSymmetric:
         ident = gen_symmetric(blocks(0, *(1,) * 10, 2))
         assert ident.weight == 10 and len(ident.lhs) == 11
         assert {c.coeff for _, c in ident.lhs.items()} == {factorial(10)}
+
+    def test_orderings_of_a_long_input_without_recursion(self):
+        # 1 001 lengths: deeper than the recursion limit if walked recursively
+        ident = gen_symmetric(blocks(0, *(1,) * 1000, 2))
+        assert ident.weight == 1000 and len(ident.lhs) == 1001
+        assert {c.coeff for _, c in ident.lhs.items()} == {factorial(1000)}
 
 
 class TestCycOperator:

@@ -3,15 +3,8 @@ import random
 
 import pytest
 
-from blockzeta.reflect import (
-    Subsequence,
-    enumerate_subsequences,
-    refl_block,
-    refl_subsequence,
-    reflective_closure,
-    subsequence_at,
-)
-from blockzeta.words import blocks, word_of
+from blockzeta.reflect import refl_block, reflective_closure
+from blockzeta.words import Word, blocks, word_of
 
 
 def random_blockdec(rng, max_weight=14, max_blocks=5):
@@ -20,6 +13,41 @@ def random_blockdec(rng, max_weight=14, max_blocks=5):
         lengths = tuple(rng.randint(1, 5) for _ in range(n))
         if 2 <= sum(lengths) <= max_weight + 2:
             return blocks(rng.randint(0, 1), *lengths)
+
+
+def reflected_cut(B, p, L):
+    """Image of the L-letter cut at letter position p of word_of(B).
+
+    Blocks s..t hold the cut; refl_{s,t} reverses them and carries the
+    cut along, so its length is kept.  The paper writes the cut as
+    (B; s,t; alpha,beta) and its image as (refl_{s,t} B; s,t; beta,alpha).
+    """
+    starts = list(itertools.accumulate(B.lengths, initial=0))
+    s = max(i for i in range(B.n_blocks) if starts[i] <= p)
+    t = max(i for i in range(B.n_blocks) if starts[i] <= p + L - 1)
+    return refl_block(B, s + 1, t + 1), starts[s] + starts[t + 1] - (p + L)
+
+
+def offsets(B, p, L):
+    """(alpha, beta): letters of block s before the cut, of block t after it."""
+    starts = list(itertools.accumulate(B.lengths, initial=0))
+    first = max(x for x in starts if x <= p)
+    after_last = min(x for x in starts if x >= p + L)
+    return p - first, after_last - (p + L)
+
+
+def cut_word(B, p, L):
+    return Word(word_of(B).letters[p : p + L])
+
+
+def quotient_word(B, p, L):
+    """What is left of word_of(B); both boundary letters of the cut stay."""
+    w = word_of(B).letters
+    return Word(w[: p + 1] + w[p + L - 1 :])
+
+
+def cuts(B, L):
+    return range(sum(B.lengths) - L + 1)
 
 
 class TestReflBlock:
@@ -72,61 +100,19 @@ class TestReflectiveClosure:
             reflective_closure([blocks(0, 2, 3), blocks(0, 2, 2)])
 
 
-class TestSubsequences:
-    def test_paper_encoding_example(self):
-        B = blocks(1, 1, 3, 4, 1, 5)
-        P = Subsequence(B, 2, 5, 1, 3)
-        assert P.length == 3 + 4 + 1 + 5 - 1 - 3
-        w = word_of(B)
-        assert P.cut_word().letters == w.letters[2 : 2 + 9]
-
-    def test_validity_clauses(self):
-        B = blocks(0, 3, 2)
-        with pytest.raises(ValueError):
-            Subsequence(B, 2, 1, 0, 0)
-        with pytest.raises(ValueError):
-            Subsequence(B, 1, 1, 3, 0)
-        with pytest.raises(ValueError):
-            Subsequence(B, 1, 1, 1, 1)  # alpha + beta + 2 > 3
-
-    def test_enumeration_count(self):
-        B = blocks(0, 12)
-        subs = enumerate_subsequences(B, 5)
-        assert len(subs) == 12 - 5 + 1
-        assert all(P.s == P.t == 1 for P in subs)
-        assert enumerate_subsequences(blocks(0, 2, 2), 5) == []
-
-    def test_enumeration_matches_flat_positions(self):
-        rng = random.Random(2)
-        for _ in range(30):
-            B = random_blockdec(rng)
-            total = sum(B.lengths)
-            for L in (5, 7):
-                if L > total:
-                    continue
-                subs = enumerate_subsequences(B, L)
-                assert len(subs) == total - L + 1
-                w = word_of(B)
-                for p, P in enumerate(subs):
-                    assert P.start_pos == p
-                    assert P.cut_word().letters == w.letters[p : p + L]
-
-    def test_parse_format(self):
-        text = "((1; 1,3,4,1,5); 2,5; 1,3)"
-        P = Subsequence.parse(text)
-        assert P == Subsequence(blocks(1, 1, 3, 4, 1, 5), 2, 5, 1, 3)
-        assert str(P) == text
-
-
 class TestReflSubsequence:
+    """The paper's pairing of a cut with its image under refl_{s,t}."""
+
     def test_paper_example(self):
-        P = Subsequence(blocks(1, 1, 3, 4, 1, 5), 2, 5, 1, 3)
-        R = refl_subsequence(P)
-        assert R == Subsequence(blocks(1, 1, 5, 1, 4, 3), 2, 5, 3, 1)
+        # (B; 2,5; 1,3) -> (refl_{2,5} B; 2,5; 3,1)
+        B = blocks(1, 1, 3, 4, 1, 5)
+        assert offsets(B, 2, 9) == (1, 3)
+        assert reflected_cut(B, 2, 9) == (blocks(1, 1, 5, 1, 4, 3), 4)
+        assert offsets(blocks(1, 1, 5, 1, 4, 3), 4, 9) == (3, 1)
 
     def test_fixed_point(self):
-        P = Subsequence(blocks(0, 2, 3, 2), 1, 3, 1, 1)
-        assert refl_subsequence(P) == P
+        B = blocks(0, 2, 3, 2)
+        assert reflected_cut(B, 1, 5) == (B, 1)
 
     def test_involution_random(self):
         rng = random.Random(3)
@@ -136,16 +122,11 @@ class TestReflSubsequence:
             total = sum(B.lengths)
             if total < 5:
                 continue
-            L = rng.choice([l for l in (5, 7, 9) if l <= total] or [5])
-            if L > total:
-                continue
+            L = rng.choice([l for l in (5, 7, 9) if l <= total])
             p = rng.randint(0, total - L)
-            P = subsequence_at(B, p, L)
-            R = refl_subsequence(P)
-            assert refl_subsequence(R) == P
-            assert R.length == P.length
-            assert (R.s, R.t) == (P.s, P.t)
-            assert (R.alpha, R.beta) == (P.beta, P.alpha)
+            R, q = reflected_cut(B, p, L)
+            assert reflected_cut(R, q, L) == (B, p)
+            assert offsets(R, q, L) == offsets(B, p, L)[::-1]  # (alpha, beta) swap
             count += 1
 
     def test_refl_is_reverse_or_dual(self):
@@ -156,33 +137,29 @@ class TestReflSubsequence:
             if total < 5:
                 continue
             p = rng.randint(0, total - 5)
-            P = subsequence_at(B, p, 5)
-            cut = P.cut_word()
-            rcut = refl_subsequence(P).cut_word()
+            cut = cut_word(B, p, 5)
+            rcut = cut_word(*reflected_cut(B, p, 5), 5)
             assert rcut in (cut.reversed(), cut.dual())
 
     def test_odd_fixed_points_trivial(self):
         # odd-length refl fixed points have equal end letters
         for start in (blocks(0, 2, 3, 2), blocks(0, 3, 1, 3), blocks(1, 2, 2, 3)):
             for B in reflective_closure([start]):
-                total = sum(B.lengths)
-                for L in range(5, total + 1, 2):
-                    for P in enumerate_subsequences(B, L):
-                        if refl_subsequence(P) == P:
-                            assert P.is_trivial
+                for L in range(5, sum(B.lengths) + 1, 2):
+                    for p in cuts(B, L):
+                        if reflected_cut(B, p, L) == (B, p):
+                            assert cut_word(B, p, L).is_trivial
 
     def test_orbits_and_quotients_on_closure(self):
         S = reflective_closure([blocks(0, 2, 3, 3)])
-        seen = set()
+        pairs = 0
         for B in S:
             for L in (5, 7):
-                for P in enumerate_subsequences(B, L):
-                    R = refl_subsequence(P)
-                    assert R.B in S
-                    orbit = {P, R}
-                    assert len(orbit) <= 2
-                    if len(orbit) == 2 and not P.is_trivial:
-                        assert not R.is_trivial
-                        assert P.quotient_word() == R.quotient_word()
-                    seen.add(frozenset((str(P), str(R))))
-        assert seen
+                for p in cuts(B, L):
+                    R, q = reflected_cut(B, p, L)
+                    assert R in S
+                    if (R, q) != (B, p) and not cut_word(B, p, L).is_trivial:
+                        assert not cut_word(R, q, L).is_trivial
+                        assert quotient_word(R, q, L) == quotient_word(B, p, L)
+                        pairs += 1
+        assert pairs

@@ -89,15 +89,6 @@ class TestBlockPredicates:
                 lemma = B.lengths[0] == 1 or B.lengths[-1] == 1
                 assert lemma == w.is_divergent
 
-    def test_block_start_end_accessors(self):
-        B = blocks(0, 5, 2, 1, 7)
-        w = word_of(B)
-        pos = 0
-        for i, l in enumerate(B.lengths, start=1):
-            assert B.block_start(i) == w.letters[pos]
-            assert B.block_end(i) == w.letters[pos + l - 1]
-            pos += l
-
 
 class TestDual:
     def test_hoffman_dual(self):
