@@ -166,8 +166,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _verify_payload(payload: str, digits: int, max_den: int):
-    ident = serial.identity_from_json(json.loads(payload))
+def _verify_payload(ident: Identity, digits: int, max_den: int):
+    """The `--jobs` worker entry: one identity, pickled to the worker."""
     return verify(ident, digits, max_den)
 
 
@@ -183,14 +183,13 @@ def cmd_verify(args) -> int:
         except RecursionError:
             raise ValueError("a stdin record is nested too deeply") from None
     if args.jobs > 1 and len(idents) > 1:
-        payloads = [serial.dumps(serial.identity_to_json(i)) for i in idents]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(
                 pool.map(
                     _verify_payload,
-                    payloads,
-                    [args.digits] * len(payloads),
-                    [args.max_den] * len(payloads),
+                    idents,
+                    [args.digits] * len(idents),
+                    [args.max_den] * len(idents),
                 )
             )
     else:

@@ -11,9 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .identities import _rotations, cyclic_sum, has_cyclic_adjacent_ones, least_rotation
+from .identities import cyclic_sum
 from .lincomb import LinComb, PiRational, TensorTerm, combine
-from .words import BlockDecomposition, Word, block_decompose, word_of
+from .words import (
+    BlockDecomposition,
+    Word,
+    block_decompose,
+    has_cyclic_adjacent_ones,
+    least_rotation,
+    rotations,
+    word_of,
+)
 
 
 def canonical_word(w: Word) -> tuple[Word, int]:
@@ -146,7 +154,7 @@ def _right_orbits(tensors: LinComb):
     for (left, grade), orbits in grouped.items():
         for rep, quots in orbits.items():
             eps = next(iter(quots)).letters[0]
-            orbit = {word_of(BlockDecomposition(eps, rot)) for rot in _rotations(rep)}
+            orbit = {word_of(BlockDecomposition(eps, rot)) for rot in rotations(rep)}
             coeffs = set(quots.values())
             full = set(quots) == orbit and len(coeffs) == 1
             yield left, grade, rep, quots, coeffs.pop() if full else None

@@ -16,14 +16,18 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .lincomb import LinComb, PiRational, combine
-from .regalgebra import _compositions, shuffle_product, zeta_two_power
+from .regalgebra import shuffle_words, zeta_two_power
 from .words import (
     ONE,
     BlockDecomposition,
     Word,
     ZetaComposition,
     block_decompose,
+    compositions,
+    distinct_orderings,
+    has_cyclic_adjacent_ones,
     mzv_to_word,
+    rotations,
     word_of,
     word_to_mzv,
 )
@@ -80,7 +84,8 @@ class Identity:
 
     def describe(self) -> str:
         rhs = "q*zeta(N), q unknown" if self.rhs is None else str(self.rhs)
-        return f"{self.family}{self.params} weight {self.weight}, rhs {rhs}"
+        params = dict(sorted(self.params.items()))  # the JSON key order
+        return f"{self.family}{params} weight {self.weight}, rhs {rhs}"
 
 
 def _nontrivial_block(lengths: tuple[int, ...]) -> BlockDecomposition:
@@ -99,15 +104,9 @@ def _scaled(c: LinComb, scalar):
     return ((key, v * scalar) for key, v in c.items())
 
 
-def _rotations(lengths: tuple[int, ...]):
-    n = len(lengths)
-    for i in range(n):
-        yield lengths[i:] + lengths[:i]
-
-
 def cyclic_sum(lengths: tuple[int, ...]) -> LinComb:
     """Sum of I_bl over all cyclic permutations of the lengths."""
-    return combine((block_word(rot), 1) for rot in _rotations(tuple(lengths)))
+    return combine((block_word(rot), 1) for rot in rotations(tuple(lengths)))
 
 
 def cyclic_head(lengths: tuple[int, ...]) -> LinComb:
@@ -122,17 +121,6 @@ def cyclic_head(lengths: tuple[int, ...]) -> LinComb:
     return head
 
 
-def least_rotation(lengths: tuple[int, ...]) -> tuple[int, ...]:
-    """The lexicographically least cyclic rotation: one per necklace."""
-    return min(_rotations(tuple(lengths)))
-
-
-def has_cyclic_adjacent_ones(lengths: tuple[int, ...]) -> bool:
-    """Whether two cyclically neighbouring lengths are both 1."""
-    n = len(lengths)
-    return any(lengths[i] == 1 and lengths[(i + 1) % n] == 1 for i in range(n))
-
-
 def gen_symmetric(B: BlockDecomposition) -> Identity:
     """Sum over all length permutations; a rational multiple of zeta(N)."""
     if B.eps1 != 0:
@@ -144,26 +132,8 @@ def gen_symmetric(B: BlockDecomposition) -> Identity:
         raise ValueError(f"symmetric insertion needs even weight >= 2, got {N}")
     # each distinct ordering stands for prod m_i! of the n! permutations
     mult = prod(factorial(m) for m in Counter(B.lengths).values())
-    lhs = combine((block_word(perm), mult) for perm in _distinct_permutations(B.lengths))
+    lhs = combine((block_word(perm), mult) for perm in distinct_orderings(B.lengths))
     return Identity("symmetric", {"lengths": B.lengths}, N, lhs, None)
-
-
-def _distinct_permutations(items: tuple[int, ...]):
-    """Every distinct ordering of items once, in lexicographic order."""
-    a = sorted(items)
-    while True:
-        yield tuple(a)
-        # next permutation: raise the rightmost ascent, then sort the tail
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def compute_Lk(lengths: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
@@ -172,7 +142,7 @@ def compute_Lk(lengths: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
     Multiset semantics: repeated rotations are kept.
     """
     out = []
-    for rot in _rotations(tuple(lengths)):
+    for rot in rotations(tuple(lengths)):
         if len(rot) >= k and all(x == 1 for x in rot[:k]):
             out.append(rot[k:])
     return out
@@ -231,7 +201,8 @@ def gen_cyclic_full(lengths, mode: str = "transcendental") -> Identity:
             corr = block_word((2 * k + 2,))
             for m in ms:
                 if m:
-                    terms.extend(_scaled(shuffle_product(corr, block_word(m)), q))
+                    product = shuffle_words(corr.interior, block_word(m).interior)
+                    terms.extend(_scaled(product, q))
                 else:
                     terms.append((corr, q))
     lhs = combine(terms)
@@ -412,7 +383,7 @@ def gen_composition_sums(kind: str, m: int, n: int = 1) -> Identity:
     if kind == "bowman-bradley":
         lhs = combine(
             (Zeta123Form(("1", "3") * n, bs).expand(), 1)
-            for bs in _compositions(m, 2 * n + 1)
+            for bs in compositions(m, 2 * n + 1)
         )
         wt = 4 * n + 2 * m
         rhs = PiRational(
@@ -420,7 +391,7 @@ def gen_composition_sums(kind: str, m: int, n: int = 1) -> Identity:
         )
         return Identity("bowman-bradley", {"n": n, "m": m}, wt, lhs, rhs)
     if kind == "z1333-compsum":
-        parts = list(_compositions(m, 5))
+        parts = list(compositions(m, 5))
         # one lot of -pi^wt/(wt+1)! per composition of m into 5 parts
         assert len(parts) == comb(m + 4, m)
         lhs = _orbit_sum(("1", "3", "3", "3"), parts)
@@ -480,20 +451,9 @@ def gen_sym_family(kind: str, params: dict) -> Identity:
 
 
 def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """(-1) to the number of inversions."""
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 def alt_sum(lengths: tuple[int, ...], *slot_groups: tuple[int, ...]) -> LinComb:

@@ -13,17 +13,18 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
 
-from .identities import (
-    Identity,
-    gen_altodd_even,
-    gen_altodd_odd,
-    gen_cyclic_full,
+from .identities import Identity, gen_altodd_even, gen_altodd_odd, gen_cyclic_full
+from .lincomb import LinComb
+from .regalgebra import regularise, stuffle_depth1, zeta_even_coeff
+from .words import (
+    ZetaComposition,
+    block_decompose,
+    compositions,
+    convergent_words,
     has_cyclic_adjacent_ones,
     least_rotation,
+    word_to_mzv,
 )
-from .lincomb import LinComb
-from .regalgebra import _compositions, regularise, stuffle_depth1, zeta_even_coeff
-from .words import ZetaComposition, block_decompose, convergent_words, word_to_mzv
 
 
 def zagier_dim(N: int) -> int:
@@ -88,37 +89,31 @@ def identity_vector(ident: Identity) -> list[Fraction]:
     return vectorize(ident.difference(), ident.weight)
 
 
-def _necklace_representatives(total: int, parts: int) -> list[tuple[int, ...]]:
-    """Compositions of `total` into `parts` positive parts, mod rotation."""
-    reps = set()
-    out = []
-    for comp in _compositions_pos(total, parts):
-        rot = least_rotation(comp)
-        if rot not in reps:
-            reps.add(rot)
-            out.append(rot)
-    return out
-
-
 def _compositions_pos(total: int, parts: int):
     """Compositions of `total` into `parts` positive entries, in lex order."""
-    for comp in _compositions(total - parts, parts):
+    for comp in compositions(total - parts, parts):
         yield tuple(x + 1 for x in comp)
+
+
+def _nontrivial_compositions(N: int):
+    """Compositions of N+2 into n >= 3 parts of the non-trivial parity.
+
+    By block count, then in lex order.  Single blocks give tautologies
+    and block pairs are plain duality instances, so both stay out.
+    """
+    for n in range(3, N + 3):
+        if (N - n) % 2:
+            yield from _compositions_pos(N + 2, n)
 
 
 def cyclic_family(N: int) -> list[tuple[int, ...]]:
     """Length tuples feeding the cyclic family at weight N.
 
-    Compositions of N+2 into n >= 3 parts of the non-trivial parity,
-    modulo cyclic shifts.  Single blocks give tautologies and block
-    pairs are plain duality instances, so both stay out.
+    The non-trivial compositions modulo cyclic shifts, each as its least
+    rotation.  In lex order a necklace first shows as its least rotation,
+    so the order is by block count, then lex.
     """
-    out = []
-    for n in range(3, N + 3):
-        if (N - n) % 2 == 0:
-            continue  # trivial decompositions
-        out.extend(_necklace_representatives(N + 2, n))
-    return out
+    return list(dict.fromkeys(map(least_rotation, _nontrivial_compositions(N))))
 
 
 def duality_rows(N: int) -> list[list[Fraction]]:
@@ -160,16 +155,13 @@ def _altodd_identities(N: int):
     """
     if N % 2 == 0:
         seen = set()
-        for n in range(3, N + 3):
-            if (N - n) % 2 == 0:
+        for comp in _nontrivial_compositions(N):
+            odds = comp[0::2]
+            key = (tuple(sorted(odds)), comp[1::2])
+            if len(set(odds)) < len(odds) or key in seen:
                 continue
-            for comp in _compositions_pos(N + 2, n):
-                odds = comp[0::2]
-                key = (tuple(sorted(odds)), comp[1::2])
-                if len(set(odds)) < len(odds) or key in seen:
-                    continue
-                seen.add(key)
-                yield gen_altodd_even(comp)
+            seen.add(key)
+            yield gen_altodd_even(comp)
         return
     for m in range(2, N + 1):
         for parts in range(2, m + 1, 2):

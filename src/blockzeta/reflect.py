@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .words import BlockDecomposition
+from .words import BlockDecomposition, distinct_orderings
 
 
 def refl_block(B: BlockDecomposition, j: int, k: int) -> BlockDecomposition:
@@ -18,26 +18,15 @@ def refl_block(B: BlockDecomposition, j: int, k: int) -> BlockDecomposition:
 def reflective_closure(initial) -> frozenset[BlockDecomposition]:
     """Smallest superset closed under every refl_{j,k}.
 
-    Adjacent transpositions refl_{i,i+1} generate all length
-    permutations, so a breadth-first sweep over them suffices.
+    The reflections refl_{i,i+1} are the adjacent transpositions, which
+    generate every reordering, so the closure is the union of the
+    distinct orderings of each member's lengths.
     """
     seed = list(initial)
-    if not seed:
-        return frozenset()
-    weight = seed[0].weight
-    n = seed[0].n_blocks
-    for B in seed:
-        if B.weight != weight or B.n_blocks != n:
-            raise ValueError("closure members must share weight and block count")
-    seen = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for B in frontier:
-            for i in range(1, n):
-                img = refl_block(B, i, i + 1)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return frozenset(seen)
+    if len({(B.weight, B.n_blocks) for B in seed}) > 1:
+        raise ValueError("closure members must share weight and block count")
+    return frozenset(
+        BlockDecomposition(B.eps1, lengths)
+        for B in seed
+        for lengths in distinct_orderings(B.lengths)
+    )

@@ -12,29 +12,10 @@ to the lower bound, and at most one duality step re-exposes leading zeros.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb, factorial
-from operator import sub
 
 from .lincomb import LinComb, PiRational, combine
-from .words import ONE, Word, ZetaComposition, word_to_mzv
-
-
-def _compositions(total: int, parts: int):
-    """Weak compositions of `total` into `parts` non-negative entries.
-
-    Stars and bars, in lexicographic order: the parts - 1 running sums
-    of the leading entries are a non-decreasing sequence of cut points
-    in 0..total, and each entry is the gap between neighbouring cuts.
-    """
-    if total < 0:
-        return
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
-        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
+from .words import ONE, Word, ZetaComposition, compositions, word_to_mzv
 
 
 def _divergence_terms(w: Word) -> dict[Word, int]:
@@ -64,7 +45,7 @@ def _divergence_terms(w: Word) -> dict[Word, int]:
     r = len(ns)
     sign = -1 if k % 2 else 1
     terms = {}
-    for inc in _compositions(k, r):
+    for inc in compositions(k, r):
         coeff = sign
         for n_j, i_j in zip(ns, inc):
             coeff *= comb(n_j - 1 + i_j, i_j)
@@ -170,18 +151,24 @@ def regularise(c: LinComb) -> LinComb:
 
 
 def shuffle_interiors(u: tuple[int, ...], v: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """All interleavings of two letter sequences with multiplicities."""
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
+    """All interleavings of two letter sequences with multiplicities.
+
+    The letters of u are inserted into v from left to right.  A state is
+    the word so far and the first slot open to the next letter of u;
+    states that agree on both are merged, so the work is bounded by the
+    distinct states rather than by the interleavings.
+    """
+    states = {(tuple(v), 0): 1}
+    for a in u:
+        nxt: dict[tuple[tuple[int, ...], int], int] = {}
+        for (w, first), mult in states.items():
+            for p in range(first, len(w) + 1):
+                key = (w[:p] + (a,) + w[p:], p + 1)
+                nxt[key] = nxt.get(key, 0) + mult
+        states = nxt
     out: dict[tuple[int, ...], int] = {}
-    for sub, mult in shuffle_interiors(u[1:], v).items():
-        key = (u[0],) + sub
-        out[key] = out.get(key, 0) + mult
-    for sub, mult in shuffle_interiors(u, v[1:]).items():
-        key = (v[0],) + sub
-        out[key] = out.get(key, 0) + mult
+    for (w, _), mult in states.items():
+        out[w] = out.get(w, 0) + mult
     return out
 
 
@@ -191,14 +178,6 @@ def shuffle_words(u: tuple[int, ...], v: tuple[int, ...]) -> LinComb:
         (Word((0,) + mid + (1,)), mult)
         for mid, mult in shuffle_interiors(tuple(u), tuple(v)).items()
     )
-
-
-def shuffle_product(a: Word, b: Word) -> LinComb:
-    """Shuffle product of two full words with bounds (0, 1)."""
-    for w in (a, b):
-        if w.letters[0] != 0 or w.letters[-1] != 1:
-            raise ValueError(f"shuffle product needs bounds (0,1), got {w}")
-    return shuffle_words(a.interior, b.interior)
 
 
 def stuffle_depth1(n: int, s: ZetaComposition) -> LinComb:

@@ -3,13 +3,16 @@
 A word is the full argument string of an iterated integral, bounds
 included: the first letter is the lower bound, the last letter the
 upper bound.  Everything downstream (regularisation, derivations,
-identity generation) is phrased in terms of these three value types.
+identity generation) is phrased in terms of these three value types,
+and of the block-length combinatorics at the end of this module:
+compositions, rotations and necklaces, distinct orderings.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import sub
 
 
 class ParseError(ValueError):
@@ -297,3 +300,59 @@ def convergent_words(weight: int) -> list[Word]:
     for mid in itertools.product((0, 1), repeat=weight - 2):
         out.append(Word((0, 1) + mid + (0, 1)))
     return out
+
+
+# --------------------------------------------------------------------------
+# block-length combinatorics
+
+
+def compositions(total: int, parts: int):
+    """Weak compositions of `total` into `parts` non-negative entries.
+
+    Stars and bars, in lexicographic order: the parts - 1 running sums
+    of the leading entries are a non-decreasing sequence of cut points
+    in 0..total, and each entry is the gap between neighbouring cuts.
+    """
+    if total < 0:
+        return
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for cuts in itertools.combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
+
+
+def rotations(lengths: tuple[int, ...]):
+    """The n cyclic rotations of n lengths, in turn; a periodic tuple repeats."""
+    for i in range(len(lengths)):
+        yield lengths[i:] + lengths[:i]
+
+
+def least_rotation(lengths: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically least cyclic rotation: one per necklace."""
+    return min(rotations(tuple(lengths)))
+
+
+def has_cyclic_adjacent_ones(lengths: tuple[int, ...]) -> bool:
+    """Whether two cyclically neighbouring lengths are both 1."""
+    n = len(lengths)
+    return any(lengths[i] == 1 and lengths[(i + 1) % n] == 1 for i in range(n))
+
+
+def distinct_orderings(items: tuple[int, ...]):
+    """Every distinct ordering of items once, in lexicographic order."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        # next permutation: raise the rightmost ascent, then sort the tail
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])

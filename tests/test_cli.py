@@ -88,6 +88,18 @@ class TestGenerateVerify:
         assert code == 0
         assert json.loads(out)["status"] == "verified"
 
+    def test_label_does_not_depend_on_the_route(self, capsys, monkeypatch):
+        # --n before --m on the command line, params sorted in the JSON
+        family = ("bowman-bradley", "--n", "1", "--m", "2")
+        _, generated, _ = invoke(capsys, "generate", *family)
+        monkeypatch.setattr("sys.stdin", io.StringIO(generated))
+        _, piped, _ = invoke(capsys, "verify", "--digits", "30", "--format", "json")
+        _, flagged, _ = invoke(
+            capsys, "verify", "--family", *family, "--digits", "30", "--format", "json"
+        )
+        labels = {json.loads(out)["identity"] for out in (piped, flagged)}
+        assert labels == {"bowman-bradley{'m': 2, 'n': 1} weight 8, rhs 1/181440*pi^8"}
+
     def test_refuted_exit_1(self, capsys, monkeypatch):
         bogus = {
             "family": "cyclic-basic",

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -327,6 +328,21 @@ class TestCyclicFamily:
         # modulo rotation (the reference table lists 7 there; its pruning
         # of "duplicate" relations is unspecified)
         assert [len(cyclic_family(N)) for N in range(4, 9)] == [5, 6, 15, 25, 51]
+
+    def test_brute_force_necklaces(self):
+        # n - 1 cut points in 1..N+1 give each composition of N+2 into n
+        # parts; a necklace is kept as its least rotation, listed by block
+        # count, then in lex order
+        for N in range(2, 11):
+            necklaces = set()
+            for n in range(3, N + 3):
+                if (N - n) % 2 == 0:
+                    continue  # trivial decompositions
+                for cuts in itertools.combinations(range(1, N + 2), n - 1):
+                    ends = (0, *cuts, N + 2)
+                    comp = tuple(b - a for a, b in itertools.pairwise(ends))
+                    necklaces.add(min(comp[i:] + comp[:i] for i in range(n)))
+            assert cyclic_family(N) == sorted(necklaces, key=lambda c: (len(c), c)), N
 
     def test_rows_numerically_true(self, weight_rows):
         digits = 30

@@ -15,6 +15,22 @@ def random_blockdec(rng, max_weight=14, max_blocks=5):
             return blocks(rng.randint(0, 1), *lengths)
 
 
+def bfs_closure(seed):
+    """Oracle: breadth-first search over the adjacent reflections refl_{i,i+1}."""
+    seen = set(seed)
+    frontier = list(seed)
+    while frontier:
+        nxt = []
+        for B in frontier:
+            for i in range(1, B.n_blocks):
+                img = refl_block(B, i, i + 1)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
 def reflected_cut(B, p, L):
     """Image of the L-letter cut at letter position p of word_of(B).
 
@@ -83,6 +99,10 @@ class TestReflectiveClosure:
         S = reflective_closure([blocks(0, 1, 2, 3)])
         expected = {blocks(0, *p) for p in itertools.permutations((1, 2, 3))}
         assert S == expected
+        for n in range(1, 7):
+            for lengths in itertools.product((1, 2, 3), repeat=n):
+                B = blocks(n % 2, *lengths)
+                assert reflective_closure([B]) == bfs_closure([B]), lengths
 
     def test_equal_lengths_fixed(self):
         assert reflective_closure([blocks(0, 2, 2, 2)]) == {blocks(0, 2, 2, 2)}
@@ -94,6 +114,11 @@ class TestReflectiveClosure:
             for j in range(1, 5):
                 for k in range(j, 5):
                     assert refl_block(B, j, k) in S
+        # a union of two seeds: (1,2,3,5) and (2,2,3,4) have 24 and 12 orderings
+        seeds = [blocks(0, 5, 2, 1, 3), blocks(0, 2, 4, 2, 3)]
+        union = reflective_closure(seeds)
+        assert union == bfs_closure(seeds)
+        assert len(union) == 36
 
     def test_mixed_input_rejected(self):
         with pytest.raises(ValueError):

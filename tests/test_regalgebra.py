@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from blockzeta.lincomb import LinComb, PiRational, TensorTerm
 from blockzeta.regalgebra import (
-    _compositions,
     bernoulli,
     divergence_relation,
     regularise,
@@ -17,7 +16,16 @@ from blockzeta.regalgebra import (
     zeta_even_coeff,
     zeta_two_power,
 )
-from blockzeta.words import ONE, Word, ZetaComposition, all_words, word, word_to_mzv, zc
+from blockzeta.words import (
+    ONE,
+    Word,
+    ZetaComposition,
+    all_words,
+    compositions,
+    word,
+    word_to_mzv,
+    zc,
+)
 
 
 def brute_shuffles(u, v):
@@ -107,7 +115,7 @@ class TestCompositions:
         for total in range(-1, 9):
             for parts in range(0, 10):
                 pairs = itertools.zip_longest(
-                    _compositions(total, parts),
+                    compositions(total, parts),
                     _recursive_compositions(total, parts),
                     fillvalue=end,
                 )
@@ -115,10 +123,10 @@ class TestCompositions:
                     assert got == expected, (total, parts)
 
     def test_small_cases(self):
-        assert list(_compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-        assert list(_compositions(0, 0)) == [()]
-        assert list(_compositions(1, 0)) == []
-        assert list(_compositions(-1, 3)) == []
+        assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+        assert list(compositions(0, 0)) == [()]
+        assert list(compositions(1, 0)) == []
+        assert list(compositions(-1, 3)) == []
 
 
 class TestDivergenceRelation:
@@ -251,13 +259,19 @@ class TestShuffle:
         )
 
     @given(
-        st.lists(st.integers(0, 1), max_size=4),
-        st.lists(st.integers(0, 1), max_size=4),
+        st.lists(st.integers(0, 1), max_size=6),
+        st.lists(st.integers(0, 1), max_size=6),
     )
-    @settings(max_examples=60)
+    @settings(max_examples=100)
     def test_against_bruteforce_oracle(self, u, v):
         got = shuffle_interiors(tuple(u), tuple(v))
         assert got == brute_shuffles(tuple(u), tuple(v))
+
+    def test_long_interior(self):
+        # a recursion on the letters would nest 1 501 calls deep
+        out = shuffle_interiors((1,), (0,) * 1500)
+        assert len(out) == 1501
+        assert set(out.values()) == {1}
 
 
 class TestStuffle:

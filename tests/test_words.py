@@ -12,6 +12,7 @@ from blockzeta.words import (
     block_decompose,
     blocks,
     convergent_words,
+    distinct_orderings,
     mzv_to_word,
     word,
     word_of,
@@ -178,3 +179,12 @@ class TestTextFormats:
         assert str(comp) == "z(1,3)"
         with pytest.raises(ParseError):
             ZetaComposition.parse("zeta(1)")
+
+
+class TestBlockCombinatorics:
+    def test_distinct_orderings(self):
+        assert list(distinct_orderings(())) == [()]
+        for n in range(1, 7):
+            for items in itertools.product((1, 2, 3), repeat=n):
+                expected = sorted(set(itertools.permutations(items)))
+                assert list(distinct_orderings(items)) == expected, items
