@@ -4,7 +4,11 @@ Convergent iterated integrals are evaluated by composing the path at
 the midpoint: I(0; a; 1) = sum_k I(0; a_1..a_k; 1/2) I(1/2; a_{k+1}..; 1),
 with the right factors reflected through t -> 1-t so every factor is a
 convergent power series at 1/2 with a geometric tail.  Prefix and
-suffix factors are built incrementally, one series transform per letter.
+suffix factors are built incrementally, one series transform per letter,
+and every prefix is shared: a word's prefix chain is its interior, its
+suffix chain the flipped reversed interior, and the chains of the words
+of one combination are walked together in sorted order, so each distinct
+prefix is transformed once (see `_state_values`).
 """
 
 from __future__ import annotations
@@ -60,30 +64,65 @@ class EvalCache:
 _cache = EvalCache()
 _word_cache: dict[tuple[Word, int], BigReal] = {}
 _word_lock = threading.Lock()
+# g(p; 1/2) * 2^F for every series prefix p reached so far, per exact (M, F)
+_states: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
 
 
 def reset_caches() -> None:
-    global _cache
+    global _cache, _states
     _cache = EvalCache()
+    _states = {}
     with _word_lock:
         _word_cache.clear()
 
 
-def _factor_values(letters, M: int, F: int) -> list[int]:
-    """g(l_1..l_k; 1/2) * 2^F for k = 0..len(letters), one transform per letter.
+def _orders(bits: int) -> tuple[int, int]:
+    """Truncation order M and coefficient scale F of the series at `bits`."""
+    return bits + _TAIL_EXTRA, bits + _SCALE_EXTRA
 
-    The series starts at g('1'; z), so letters[0] is taken to be 1.
+
+def _keys(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Prefix and suffix keys of a convergent word.
+
+    The interior a_1..a_N, and its flipped reverse (1 - a_N, ..., 1 - a_1),
+    whose prefix of length N - k is the reflected suffix a_{k+1}..a_N.
+    Both start with letter 1.
     """
-    vals = [1 << F]
-    C = None
-    for k, bit in enumerate(letters):
-        C = series.g_init(M, F) if k == 0 else series.g_append(C, bit, M, F)
-        vals.append(series.g_value(C, M, F))
-    return vals
+    a = w.interior
+    return a, tuple(1 - x for x in reversed(a))
+
+
+def _state_values(keys, M: int, F: int) -> dict[tuple[int, ...], int]:
+    """The memo of g(p; 1/2) * 2^F at (M, F), holding every prefix of `keys`.
+
+    The keys not yet memoised are walked in sorted order, so the keys
+    below a shared prefix are adjacent and the prefix is transformed
+    once; only the arrays of the prefix shared with the next key are
+    held, at most one per letter.  Every key starts with letter 1, where
+    the series starts at g('1'; z).
+    """
+    memo = _states.setdefault((M, F), {(): 1 << F})
+    todo = sorted({k for k in keys if k not in memo})
+    stack: list[list[int]] = []  # arrays of key[:1], key[:2], ...
+    for key, nxt in zip(todo, todo[1:] + [()]):
+        shared = 0
+        while shared < min(len(key), len(nxt)) and key[shared] == nxt[shared]:
+            shared += 1
+        C = stack[-1] if stack else None
+        for j in range(len(stack), len(key)):
+            C = series.g_init(M, F) if j == 0 else series.g_append(C, key[j], M, F)
+            prefix = key[: j + 1]
+            if prefix not in memo:
+                memo[prefix] = series.g_value(C, M, F)
+            if j < shared:
+                stack.append(C)
+        del stack[shared:]
+    return memo
 
 
 def eval_word(w: Word, digits: int = DEFAULT_DIGITS) -> BigReal:
     """Value of the iterated integral of a convergent word."""
+    _check_digits(digits)
     bits = bits_for_digits(digits)
     key = (w, digits)
     with _word_lock:
@@ -96,19 +135,17 @@ def eval_word(w: Word, digits: int = DEFAULT_DIGITS) -> BigReal:
         return BigReal.exact_zero(bits)
     if not w.is_convergent:
         raise ValueError(f"word {w} is divergent; regularise before evaluating")
-    F = bits + _SCALE_EXTRA
-    M = bits + _TAIL_EXTRA
-    interior = w.interior
-    N = len(interior)
+    M, F = _orders(bits)
+    pref, suf = _keys(w)
+    N = len(pref)
     # prefix g(a_1..a_k; 1/2) and suffix g(flip reverse(a_{k+1}..a_N); 1/2);
     # a factor of j >= 1 letters is off by at most j + tail ulps
-    pref_vals = _factor_values(interior, M, F)
-    suf_vals = _factor_values([1 - x for x in reversed(interior)], M, F)
+    memo = _state_values((pref, suf), M, F)
     tail = 3 + (1 << (F - M))
     total = 0
     err = 0
     for k in range(N + 1):
-        term = (pref_vals[k] * suf_vals[N - k]) >> F
+        term = (memo[pref[:k]] * memo[suf[: N - k]]) >> F
         if (N - k) % 2:
             term = -term
         total += term
@@ -146,10 +183,19 @@ def eval_lincomb(c: LinComb, digits: int = DEFAULT_DIGITS) -> BigReal:
     """Exact-coefficient combination of MZV and word values.
 
     Word keys are regularised first; the empty composition is the
-    constant 1; pi powers come from the verified pi engine.
+    constant 1; pi powers come from the verified pi engine.  The series
+    prefixes of every composition not yet cached are walked in one call.
     """
+    _check_digits(digits)
     flat = regularise(c)
     bits = bits_for_digits(digits)
+    missing = [
+        mzv_to_word(key)[0]
+        for key in flat.keys()
+        if isinstance(key, ZetaComposition) and key.args and key.is_convergent
+        and _cache.get(key, digits) is None
+    ]
+    _state_values([k for w in missing for k in _keys(w)], *_orders(bits))
     acc = BigReal.exact_zero(bits)
     for key, coeff in flat.items():
         if not isinstance(key, ZetaComposition):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockzeta.bigreal import BigReal, bits_for_digits, pi_bigreal, pi_power
 from blockzeta.identities import Identity, gen_symmetric
@@ -16,11 +17,13 @@ from blockzeta.numerics import (
     verify,
     zeta_value,
 )
-from blockzeta.regalgebra import shuffle_words, stuffle_depth1, zeta_two_power
+from blockzeta.regalgebra import regularise, shuffle_words, stuffle_depth1, zeta_two_power
 from blockzeta.words import (
+    Word,
     ZetaComposition,
     blocks,
     convergent_words,
+    mzv_to_word,
     word,
     word_to_mzv,
     zc,
@@ -338,3 +341,144 @@ class TestKernels:
             target = sum(c / 2**n for n, c in enumerate(coeffs)) * 2**F
             # eval_word budgets k + 3 ulps for a factor of k letters
             assert abs(value - target) <= k + 3
+
+
+# --------------------------------------------------------------------------
+# the shared-prefix walk against one independent chain per word
+
+
+def oracle_factor_values(letters, M, F):
+    """g(l_1..l_k; 1/2) * 2^F for k = 0..len(letters), one transform per letter."""
+    from blockzeta import series
+
+    vals = [1 << F]
+    C = None
+    for k, bit in enumerate(letters):
+        C = series.g_init(M, F) if k == 0 else series.g_append(C, bit, M, F)
+        vals.append(series.g_value(C, M, F))
+    return vals
+
+
+def oracle_eval_word(w, digits):
+    """eval_word assembled from a prefix chain and a suffix chain of its own."""
+    from blockzeta.numerics import _SCALE_EXTRA, _TAIL_EXTRA
+
+    bits = bits_for_digits(digits)
+    F, M = bits + _SCALE_EXTRA, bits + _TAIL_EXTRA
+    interior = w.interior
+    N = len(interior)
+    pref_vals = oracle_factor_values(interior, M, F)
+    suf_vals = oracle_factor_values([1 - x for x in reversed(interior)], M, F)
+    tail = 3 + (1 << (F - M))
+    total = err = 0
+    for k in range(N + 1):
+        term = (pref_vals[k] * suf_vals[N - k]) >> F
+        total += -term if (N - k) % 2 else term
+        err += (k + tail if k else 0) + (N - k + tail if k < N else 0) + 2
+    return BigReal(total, F, err)._rescale(bits)
+
+
+def oracle_eval_lincomb(c, digits):
+    acc = BigReal.exact_zero(bits_for_digits(digits))
+    for comp, coeff in regularise(c).items():
+        w, sign = mzv_to_word(comp)
+        val = oracle_eval_word(w, digits)
+        acc = acc + (val if sign > 0 else -val).mul_fraction(coeff.coeff)
+    return acc
+
+
+INTERIOR = st.lists(st.integers(0, 1), max_size=5).map(lambda mid: (1, *mid, 0))
+
+
+@st.composite
+def word_batches(draw):
+    """Convergent words with duplicates, interiors that are prefixes of
+    other interiors, and words that share only a suffix."""
+    base = draw(st.lists(INTERIOR, min_size=1, max_size=6))
+    batch = list(base)
+    for a in base:
+        kind = draw(st.sampled_from(["duplicate", "prefix", "suffix", "none"]))
+        cuts = [j for j in range(2, len(a)) if a[j - 1] == 0]
+        if kind == "duplicate":
+            batch.append(a)
+        elif kind == "prefix" and cuts:
+            batch.append(a[: draw(st.sampled_from(cuts))])
+        elif kind == "suffix":
+            head = draw(st.lists(st.integers(0, 1), max_size=3))
+            batch.append((1, *head, *a[draw(st.integers(1, len(a) - 1)):]))
+    return [Word((0, *a, 1)) for a in batch]
+
+
+def lincomb_of(words, coeffs):
+    terms = (LinComb.term(word_to_mzv(w)[0], c) for w, c in zip(words, coeffs))
+    return sum(terms, LinComb.zero())
+
+
+class TestSharedPrefixes:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=word_batches(),
+        coeffs=st.lists(st.integers(-3, 3), min_size=18, max_size=18),
+        digits=st.sampled_from([10, 25, 40]),
+        data=st.data(),
+    )
+    def test_matches_one_chain_per_word(self, batch, coeffs, digits, data):
+        """Every BigReal equals the oracle's: value, scale and err."""
+        from blockzeta import numerics
+
+        expected = {w: oracle_eval_word(w, digits) for w in batch}
+        order = data.draw(st.permutations(batch))
+        split = data.draw(st.integers(0, len(order)))
+        whole = lincomb_of(batch, coeffs)
+        head, rest = lincomb_of(order[:split], coeffs), lincomb_of(order[split:], coeffs)
+        try:
+            # the whole batch in one group, then every word in batch order
+            numerics.reset_caches()
+            assert eval_lincomb(whole, digits) == oracle_eval_lincomb(whole, digits)
+            assert {w: eval_word(w, digits) for w in batch} == expected
+            # a shuffled share in one group, every word in reverse, the rest
+            numerics.reset_caches()
+            assert eval_lincomb(head, digits) == oracle_eval_lincomb(head, digits)
+            assert {w: eval_word(w, digits) for w in reversed(order)} == expected
+            assert eval_lincomb(rest, digits) == oracle_eval_lincomb(rest, digits)
+        finally:
+            numerics.reset_caches()
+
+    def test_each_prefix_transformed_once(self, monkeypatch):
+        from blockzeta import numerics, series
+        from blockzeta.identities import gen_cyclic_full
+
+        diff = gen_cyclic_full((1, 1, 2, 3)).difference()
+        prefixes = set()
+        for comp, _ in regularise(diff).items():
+            if comp.args:
+                a = mzv_to_word(comp)[0].interior
+                for key in (a, tuple(1 - x for x in reversed(a))):
+                    prefixes.update(key[:j] for j in range(1, len(key) + 1))
+        transforms = []
+        for name in ("g_init", "g_append"):
+            original = getattr(series, name)
+
+            def counted(*args, _original=original):
+                transforms.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(series, name, counted)
+        numerics.reset_caches()
+        try:
+            eval_lincomb(diff, 30)
+        finally:
+            numerics.reset_caches()
+        assert len(prefixes) > 20
+        assert len(transforms) == len(prefixes)
+
+    @pytest.mark.parametrize("digits", [-3, 0, 9, 2001, 3000])
+    @pytest.mark.parametrize("evaluate", [eval_word, eval_mzv, eval_lincomb])
+    def test_digits_out_of_range(self, evaluate, digits):
+        arg = {
+            eval_word: word("0101"),
+            eval_mzv: zc(2),
+            eval_lincomb: LinComb.term(zc(2)),
+        }[evaluate]
+        with pytest.raises(ValueError, match="need digits >= 10|beyond the configured ceiling"):
+            evaluate(arg, digits)
