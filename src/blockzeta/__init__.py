@@ -21,7 +21,6 @@ from .words import (
 )
 from .lincomb import LinComb, PiRational, TensorTerm
 from .regalgebra import (
-    divergence_relation,
     regularise,
     regularise_word,
     shuffle_words,
@@ -29,7 +28,7 @@ from .regalgebra import (
     zeta_even_coeff,
     zeta_two_power,
 )
-from .reflect import refl_block, reflective_closure
+from .reflect import reflective_closure
 from .derivation import (
     canonical_word,
     closure_comb,
@@ -37,7 +36,6 @@ from .derivation import (
     d_less_than_N,
     d_r,
     kernel_report,
-    stability_shape,
 )
 from .identities import (
     Identity,
@@ -56,13 +54,11 @@ from .identities import (
     gen_hoffman,
     gen_sym_family,
     gen_symmetric,
-    parse_123,
 )
 from .numerics import (
     eval_lincomb,
     eval_mzv,
     eval_word,
-    mzv_direct_sum,
     recognize_rational,
     verify,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -182,8 +183,10 @@ def cmd_verify(args) -> int:
             idents = [serial.identity_from_json(json.loads(ln)) for ln in lines]
         except RecursionError:
             raise ValueError("a stdin record is nested too deeply") from None
-    if args.jobs > 1 and len(idents) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts all its workers at once: no more than can run
+    workers = min(args.jobs, len(idents), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(
                 pool.map(
                     _verify_payload,

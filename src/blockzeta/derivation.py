@@ -9,9 +9,8 @@ on the same key with opposite coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .identities import cyclic_sum
 from .lincomb import LinComb, PiRational, TensorTerm, combine
 from .words import (
     BlockDecomposition,
@@ -115,84 +114,6 @@ def closure_comb(S) -> LinComb:
     return combine((word_of(B), 1) for B in S)
 
 
-@dataclass
-class StabilityGroup:
-    left_word: Word  # canonical representative
-    left_blocks: tuple[int, ...]
-    right_b: tuple[int, ...]  # orbit representative of the quotient blocks
-    coefficient: int
-    join_values: tuple[int, ...]
-    is_full_cycle: bool
-    m_plus_k: int
-
-
-@dataclass
-class StabilityReport:
-    lengths: tuple[int, ...]
-    r: int
-    groups: list[StabilityGroup] = field(default_factory=list)
-
-    @property
-    def holds(self) -> bool:
-        n = len(self.lengths)
-        return all(g.is_full_cycle and g.m_plus_k == n + 1 for g in self.groups)
-
-
-def _right_orbits(tensors: LinComb):
-    """Group tensor terms by (left, grade), then by right-factor necklace.
-
-    Yields (left, grade, rep, quots, coeff): rep is the least rotation of
-    the right factor's block lengths and quots maps each right word with
-    that necklace to its coefficient.  coeff is the common coefficient
-    when quots is one full cyclic orbit with a uniform coefficient, and
-    None otherwise.
-    """
-    grouped: dict[tuple[Word, int], dict[tuple[int, ...], dict[Word, PiRational]]] = {}
-    for term, coeff in tensors.items():
-        rep = least_rotation(block_decompose(term.right).lengths)
-        grouped.setdefault((term.left, term.grade), {}).setdefault(rep, {})[term.right] = coeff
-    for (left, grade), orbits in grouped.items():
-        for rep, quots in orbits.items():
-            eps = next(iter(quots)).letters[0]
-            orbit = {word_of(BlockDecomposition(eps, rot)) for rot in rotations(rep)}
-            coeffs = set(quots.values())
-            full = set(quots) == orbit and len(coeffs) == 1
-            yield left, grade, rep, quots, coeffs.pop() if full else None
-
-
-def stability_shape(lengths: tuple[int, ...], r: int) -> StabilityReport:
-    """Group D_r of a cyclic sum by canonical left factor, test the cycle law.
-
-    Each group's quotient factors must split into full cyclic sums over
-    C_k with uniform coefficient and (left blocks) + k = n + 1; every b
-    entry is an original length or one alpha+beta+2 join.  A group that
-    is not a full cycle reports coefficient 0.
-    """
-    lengths = tuple(lengths)
-    report = StabilityReport(lengths, r)
-    if len(lengths) == 1:
-        return report  # nothing to group; trivially stable
-    orbits = _right_orbits(d_r(cyclic_sum(lengths), r))
-    for left, _, rep, _, coeff in sorted(orbits, key=lambda o: (str(o[0]), o[2])):
-        left_blocks = block_decompose(left).lengths
-        extra = list(rep)
-        for l in lengths:
-            if l in extra:
-                extra.remove(l)
-        report.groups.append(
-            StabilityGroup(
-                left_word=left,
-                left_blocks=left_blocks,
-                right_b=rep,
-                coefficient=0 if coeff is None else int(coeff.coeff),
-                join_values=tuple(extra),
-                is_full_cycle=coeff is not None,
-                m_plus_k=len(left_blocks) + len(rep),
-            )
-        )
-    return report
-
-
 def collapse_cyclic_rights(tensors: LinComb) -> LinComb:
     """Rewrite full cyclic right-factor orbits through basic cyclic insertion.
 
@@ -202,13 +123,19 @@ def collapse_cyclic_rights(tensors: LinComb) -> LinComb:
     odd-weight residues are usually read.  Orbits whose lengths contain
     cyclically adjacent 1s, and incomplete orbits, are left untouched.
     """
+    orbits: dict[tuple[Word, int, tuple[int, ...]], dict[Word, PiRational]] = {}
+    for term, coeff in tensors.items():
+        rep = least_rotation(block_decompose(term.right).lengths)
+        orbits.setdefault((term.left, term.grade, rep), {})[term.right] = coeff
     terms = []
-    for left, grade, rep, quots, coeff in _right_orbits(tensors):
-        if coeff is not None and not has_cyclic_adjacent_ones(rep):
-            eps = next(iter(quots)).letters[0]
+    for (left, grade, rep), quots in orbits.items():
+        eps = next(iter(quots)).letters[0]
+        orbit = {word_of(BlockDecomposition(eps, rot)) for rot in rotations(rep)}
+        coeffs = set(quots.values())
+        if set(quots) == orbit and len(coeffs) == 1 and not has_cyclic_adjacent_ones(rep):
             collapsed = word_of(BlockDecomposition(eps, (sum(rep),)))
             if not collapsed.is_trivial:
-                terms.append((TensorTerm(left, collapsed, grade), coeff))
+                terms.append((TensorTerm(left, collapsed, grade), coeffs.pop()))
         else:
             terms.extend((TensorTerm(left, right, grade), c) for right, c in quots.items())
     return combine(terms)

@@ -271,44 +271,6 @@ class Zeta123Form:
         return f"z({toks} | {bs})"
 
 
-def parse_123(s: ZetaComposition) -> Zeta123Form:
-    """Recover the a|b form of a 123-MZV composition."""
-    args = s.args
-    if any(a not in (1, 2, 3) for a in args):
-        raise ValueError(f"{s} is not a 123-MZV: argument outside {{1,2,3}}")
-    if any(a == b == 1 for a, b in itertools.pairwise(args)):
-        raise ValueError(f"{s} is not a 123-MZV: adjacent (1,1)")
-    tokens: list[str] = []
-    bs: list[int] = []
-    i = 0
-    while i < len(args):
-        b = 0
-        while i < len(args) and args[i] == 2:
-            b += 1
-            i += 1
-        bs.append(b)
-        if i == len(args):
-            return Zeta123Form(tuple(tokens), tuple(bs))
-        if args[i] == 3:
-            tokens.append("3")
-            i += 1
-            continue
-        # args[i] == 1: token '1' exactly when the next non-2 symbol is a 3
-        j = i + 1
-        while j < len(args) and args[j] == 2:
-            j += 1
-        if j < len(args) and args[j] == 3:
-            tokens.append("1")
-            i += 1
-        else:
-            if i + 1 >= len(args) or args[i + 1] != 2:
-                raise ValueError(f"{s} is not a 123-MZV")
-            tokens.append("T")
-            i += 2
-    bs.append(0)
-    return Zeta123Form(tuple(tokens), tuple(bs))
-
-
 def gen_cyc123(z: Zeta123Form, family: str = "cyc123", params: dict | None = None) -> Identity:
     """Cyclic insertion for a 123-MZV: the block cyclic sum read as MZVs.
 

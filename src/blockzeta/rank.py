@@ -204,11 +204,14 @@ def cyclic_rows(N: int) -> list[list[Fraction]]:
 
 #: The relation families of the rank table, in table order.
 FAMILIES = ("cyclic", "altodd", "duality")
+MAX_WEIGHT = 14  # ceiling: every row is dense over 2^(N-2) basis words
 
 
 def _check_table_args(N: int, families: tuple[str, ...]) -> None:
     if N < 2:
         raise ValueError(f"weight must be at least 2, got {N}")
+    if N > MAX_WEIGHT:
+        raise ValueError(f"weight {N} beyond the configured ceiling {MAX_WEIGHT}")
     for family in families:
         if family not in FAMILIES:
             raise ValueError(

@@ -19,7 +19,11 @@ from .words import ONE, Word, ZetaComposition, compositions, word_to_mzv
 
 
 def _divergence_terms(w: Word) -> dict[Word, int]:
-    """Integer map behind divergence_relation; every output word starts 01."""
+    """The divergence relation: a left-divergent word as words starting 01.
+
+    Input shape: 0 0^k 1 0^{n1-1} ... 1 0^{nr-1} 1 with k >= 1, r >= 1.
+    Returns the integer map of a combination equal to I(w).
+    """
     letters = w.letters
     if letters[0] != 0 or letters[-1] != 1:
         raise ValueError(f"divergence relation needs bounds (0,1), got {w}")
@@ -56,15 +60,6 @@ def _divergence_terms(w: Word) -> dict[Word, int]:
         out.append(1)
         terms[Word(tuple(out))] = coeff
     return terms
-
-
-def divergence_relation(w: Word) -> LinComb:
-    """Expand a left-divergent word into words with a 1 after the bound.
-
-    Input shape: 0 0^k 1 0^{n1-1} ... 1 0^{nr-1} 1 with k >= 1, r >= 1.
-    Returns a combination equal to I(w); every output word starts 01.
-    """
-    return combine(_divergence_terms(w).items())
 
 
 #: word -> {composition: integer coefficient}; shared, so read it only.

@@ -285,11 +285,6 @@ def word_to_mzv(w: Word) -> tuple[ZetaComposition, int]:
     return s, sign
 
 
-def all_words(length: int) -> list[Word]:
-    """Every word of the given total length (bounds included)."""
-    return [Word(bits) for bits in itertools.product((0, 1), repeat=length)]
-
-
 def convergent_words(weight: int) -> list[Word]:
     """All convergent words of the given weight, sorted as binary integers."""
     if weight == 0:

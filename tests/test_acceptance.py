@@ -28,7 +28,6 @@ from blockzeta.identities import (
     gen_cyclic_full,
     gen_hoffman,
     gen_symmetric,
-    parse_123,
 )
 from blockzeta.lincomb import LinComb, PiRational, TensorTerm
 from blockzeta.numerics import eval_lincomb, eval_mzv, recognize_rational, verify
@@ -43,7 +42,6 @@ from blockzeta.reflect import reflective_closure
 from blockzeta.regalgebra import regularise_word
 from blockzeta.words import (
     BlockDecomposition,
-    all_words,
     block_decompose,
     blocks,
     mzv_to_word,
@@ -53,7 +51,8 @@ from blockzeta.words import (
     zc,
 )
 
-from cyc_reference import cyc_orbit
+from cyc_reference import cyc_orbit, parse_123
+from helpers import all_words
 
 
 @contextmanager

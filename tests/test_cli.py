@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import blockzeta
-from blockzeta import serial
+from blockzeta import cli, serial
 from blockzeta.cli import make_parser, run
 from blockzeta.identities import FAMILIES as IDENTITY_FAMILIES
 from blockzeta.identities import gen_cyclic_full, gen_hoffman, gen_symmetric
@@ -141,6 +141,43 @@ class TestGenerateVerify:
 
     def test_usage_error_exit_2(self, capsys):
         assert run(["generate"]) == 2 or run(["nonsense"]) == 2
+
+    @pytest.mark.parametrize(
+        "jobs, batch, cpus, workers",
+        [(64, 2, 8, 2), (3, 5, 8, 3), (64, 5, 2, 2), (64, 5, None, None), (2, 1, 8, None)],
+    )
+    def test_pool_is_no_larger_than_batch_or_machine(
+        self, capsys, monkeypatch, jobs, batch, cpus, workers
+    ):
+        # a fork pool starts all of max_workers on its first submit
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        def verify_output(jobs):
+            monkeypatch.setattr("sys.stdin", io.StringIO("\n".join([record()] * batch)))
+            code, out, _ = invoke(
+                capsys, "verify", "--digits", "15", "--jobs", str(jobs), "--format", "json"
+            )
+            assert code == 0
+            reports = [json.loads(line) for line in out.splitlines()]
+            return [{**r, "elapsed_seconds": None} for r in reports]
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert verify_output(jobs) == verify_output(1)
+        assert sizes == ([] if workers is None else [workers])
 
 
 class TestKernelAndTable:
@@ -395,15 +432,22 @@ class TestSubcommandArgvFuzz:
         assert make_parser() is make_parser()
 
 
-def _module_run(*argv):
+def _module_run(*argv, **options):
     """Run `python -m <argv>` with this package importable."""
     env = dict(os.environ)
     src = str(Path(blockzeta.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, **{"timeout": 120, **options},
     )
+
+
+def _limit_address_space():
+    """At most 1 GiB of address space, set in the child before it starts."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 class TestModuleEntry:
@@ -421,3 +465,19 @@ class TestModuleEntry:
         proc = _module_run("blockzeta", "rank", "--weight", "0")
         assert proc.returncode == 2 and proc.stdout == ""
         assert "weight must be at least 2" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--weight", "15"),
+            ("rank", "--weight", "16", "--matrix"),
+            ("rank", "--weight", "30", "--families", "cyclic"),
+        ],
+    )
+    def test_weight_ceiling_exit_2(self, argv):
+        # bounded in time and memory, so a missing check fails fast
+        proc = _module_run(
+            "blockzeta", *argv, timeout=30, preexec_fn=_limit_address_space
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "beyond the configured ceiling 14" in proc.stderr

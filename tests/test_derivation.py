@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -10,12 +11,22 @@ from blockzeta.derivation import (
     d_less_than_N,
     d_r,
     kernel_report,
-    stability_shape,
 )
 from blockzeta.identities import cyclic_sum, gen_symmetric
 from blockzeta.lincomb import LinComb, PiRational, TensorTerm, combine
 from blockzeta.reflect import reflective_closure
-from blockzeta.words import Word, blocks, word, word_of
+from blockzeta.words import (
+    BlockDecomposition,
+    Word,
+    block_decompose,
+    blocks,
+    least_rotation,
+    rotations,
+    word,
+    word_of,
+)
+
+from helpers import all_words
 
 
 def oracle_d_r(comb, r):
@@ -80,8 +91,6 @@ class TestDerivation:
                 assert d_r(comb, r) == oracle_d_r(comb, r)
 
     def test_oracle_agreement_exhaustive_small(self):
-        from blockzeta.words import all_words
-
         for length in range(6, 11):  # weights 4..8
             weight = length - 2
             for w in all_words(length):
@@ -196,6 +205,71 @@ class TestCollapseCyclicRights:
         partial5 = orbit((1, 2, 1, 4), grade=5, rotations=3)
         collapsed3 = LinComb.term(TensorTerm(LEFT, word_of(blocks(0, 8)), 3))
         assert collapse_cyclic_rights(full3 + partial5) == collapsed3 + partial5
+
+
+@dataclass
+class StabilityGroup:
+    left_word: Word  # canonical representative
+    left_blocks: tuple[int, ...]
+    right_b: tuple[int, ...]  # orbit representative of the quotient blocks
+    coefficient: int
+    join_values: tuple[int, ...]
+    is_full_cycle: bool
+    m_plus_k: int
+
+
+@dataclass
+class StabilityReport:
+    lengths: tuple[int, ...]
+    r: int
+    groups: list[StabilityGroup] = field(default_factory=list)
+
+    @property
+    def holds(self) -> bool:
+        n = len(self.lengths)
+        return all(g.is_full_cycle and g.m_plus_k == n + 1 for g in self.groups)
+
+
+def stability_shape(lengths: tuple[int, ...], r: int) -> StabilityReport:
+    """Group D_r of a cyclic sum by canonical left factor, test the cycle law.
+
+    The terms are grouped by left factor, then by the necklace of the
+    right factor's block lengths.  Each group's quotient factors must
+    split into full cyclic sums over C_k with uniform coefficient and
+    (left blocks) + k = n + 1; every b entry is an original length or one
+    alpha+beta+2 join.  A group that is not a full cycle reports
+    coefficient 0.
+    """
+    lengths = tuple(lengths)
+    report = StabilityReport(lengths, r)
+    if len(lengths) == 1:
+        return report  # nothing to group; trivially stable
+    grouped = {}
+    for term, coeff in d_r(cyclic_sum(lengths), r).items():
+        rep = least_rotation(block_decompose(term.right).lengths)
+        grouped.setdefault((term.left, rep), {})[term.right] = coeff
+    for (left, rep), quots in sorted(grouped.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
+        eps = next(iter(quots)).letters[0]
+        orbit = {word_of(BlockDecomposition(eps, rot)) for rot in rotations(rep)}
+        coeffs = set(quots.values())
+        full = set(quots) == orbit and len(coeffs) == 1
+        left_blocks = block_decompose(left).lengths
+        extra = list(rep)
+        for l in lengths:
+            if l in extra:
+                extra.remove(l)
+        report.groups.append(
+            StabilityGroup(
+                left_word=left,
+                left_blocks=left_blocks,
+                right_b=rep,
+                coefficient=int(coeffs.pop().coeff) if full else 0,
+                join_values=tuple(extra),
+                is_full_cycle=full,
+                m_plus_k=len(left_blocks) + len(rep),
+            )
+        )
+    return report
 
 
 #: stability_shape(lengths, 3), one row per group: (left word, right_b,

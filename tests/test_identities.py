@@ -24,7 +24,6 @@ from blockzeta.identities import (
     gen_hoffman,
     gen_sym_family,
     gen_symmetric,
-    parse_123,
 )
 from blockzeta.lincomb import LinComb, PiRational, TensorTerm
 from blockzeta.regalgebra import shuffle_words
@@ -39,7 +38,7 @@ from blockzeta.words import (
     zc,
 )
 
-from cyc_reference import cyc, cyc_orbit, orbit_sum
+from cyc_reference import cyc, cyc_orbit, orbit_sum, parse_123
 
 
 class TestIdentity:

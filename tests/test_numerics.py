@@ -12,7 +12,6 @@ from blockzeta.numerics import (
     eval_lincomb,
     eval_mzv,
     eval_word,
-    mzv_direct_sum,
     recognize_rational,
     verify,
     zeta_value,
@@ -28,6 +27,9 @@ from blockzeta.words import (
     word_to_mzv,
     zc,
 )
+
+from helpers import all_words
+from mzv_reference import mzv_direct_sum
 
 
 def as_mp(x: BigReal):
@@ -137,7 +139,6 @@ class TestAlgebraNumericsConsistency:
         # regularised values satisfy I(w) = (-1)^N I(dual w); the exact
         # combinations differ (the procedure picks per-word normal forms)
         from blockzeta.regalgebra import regularise_word
-        from blockzeta.words import all_words
 
         digits = 30
         for L in (5, 6, 7, 8):

@@ -3,8 +3,18 @@ import random
 
 import pytest
 
-from blockzeta.reflect import refl_block, reflective_closure
-from blockzeta.words import Word, blocks, word_of
+from blockzeta.reflect import reflective_closure
+from blockzeta.words import BlockDecomposition, Word, blocks, word_of
+
+
+def refl_block(B: BlockDecomposition, j: int, k: int) -> BlockDecomposition:
+    """Oracle: reverse the block lengths in positions j..k (1-based, inclusive)."""
+    n = B.n_blocks
+    if not 1 <= j <= k <= n:
+        raise IndexError(f"invalid reflection range ({j},{k}) for {n} blocks")
+    ls = B.lengths
+    new = ls[: j - 1] + ls[j - 1 : k][::-1] + ls[k:]
+    return BlockDecomposition(B.eps1, new)
 
 
 def random_blockdec(rng, max_weight=14, max_blocks=5):

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockzeta.lincomb import LinComb, PiRational, TensorTerm
+from blockzeta.lincomb import LinComb, PiRational, TensorTerm, combine
 from blockzeta.regalgebra import (
+    _divergence_terms,
     bernoulli,
-    divergence_relation,
     regularise,
     regularise_word,
     shuffle_interiors,
@@ -20,12 +20,22 @@ from blockzeta.words import (
     ONE,
     Word,
     ZetaComposition,
-    all_words,
     compositions,
     word,
     word_to_mzv,
     zc,
 )
+
+from helpers import all_words
+
+
+def divergence_relation(w: Word) -> LinComb:
+    """Expand a left-divergent word into words with a 1 after the bound.
+
+    Input shape: 0 0^k 1 0^{n1-1} ... 1 0^{nr-1} 1 with k >= 1, r >= 1.
+    Returns a combination equal to I(w); every output word starts 01.
+    """
+    return combine(_divergence_terms(w).items())
 
 
 def brute_shuffles(u, v):

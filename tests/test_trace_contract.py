@@ -28,6 +28,7 @@ calls = [
     ["table", "--weight", "5"],
     ["verify", "--family", "hoffman", "--b", "0,0,0", "--digits", "30"],
     ["verify", "--family", "symmetric", "--lengths", "2,3,3", "--digits", "30"],
+    ["dkernel", "--lengths", "2,3,3", "--set", "closure"],
 ]
 with redirect_stdout(io.StringIO()):
     codes = [cli.run(argv) for argv in calls]
@@ -42,6 +43,7 @@ TRACED = (
     "rank.rank_of",
     "numerics.eval_word",
     "numerics.recognize_rational",
+    "reflect.reflective_closure",
 )
 
 
@@ -52,5 +54,5 @@ def test_traced_pass_binds_every_patched_name():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     assert all(result["calls"].get(name, 0) > 0 for name in TRACED), result["calls"]

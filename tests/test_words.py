@@ -8,7 +8,6 @@ from blockzeta.words import (
     ParseError,
     Word,
     ZetaComposition,
-    all_words,
     block_decompose,
     blocks,
     convergent_words,
@@ -19,6 +18,8 @@ from blockzeta.words import (
     word_to_mzv,
     zc,
 )
+
+from helpers import all_words
 
 words_st = st.lists(st.integers(0, 1), min_size=2, max_size=14).map(
     lambda bits: Word(tuple(bits))
