@@ -6,6 +6,8 @@ cancellation, arbitrary-precision numerical verification, and exact
 rational rank tables for the resulting relation families.
 """
 
+from types import ModuleType as _ModuleType
+
 from .words import (
     BlockDecomposition,
     ParseError,
@@ -63,8 +65,6 @@ from .numerics import (
     verify,
 )
 from .rank import (
-    RelationMatrix,
-    family_rows,
     relation_rows,
     table_row,
     vectorize,
@@ -73,4 +73,9 @@ from .rank import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the API names; the submodules that the imports above bind are left out
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -33,9 +33,10 @@ from .identities import (
     gen_sym_family,
     gen_symmetric,
 )
+from .linalg import rank_of
 from .lincomb import LinComb
 from .numerics import DEFAULT_DIGITS, verify
-from .rank import FAMILIES, RelationMatrix, table_row
+from .rank import FAMILIES, basis_compositions, relation_rows, table_row
 from .reflect import reflective_closure
 from .regalgebra import regularise_word
 from .words import (
@@ -253,24 +254,15 @@ def cmd_dkernel(args) -> int:
     return 0
 
 
-#: Text labels of the rank-table families.
-FAMILY_LABELS = {"cyclic": "cyclic", "altodd": "alt-odd", "duality": "duality"}
-
-
 def cmd_rank(args) -> int:
     families = tuple(f.strip() for f in args.families.split(","))
     if args.matrix:
-        mat = RelationMatrix.build(args.weight, families)
-        print(
-            serial.dumps(
-                {
-                    "weight": mat.weight,
-                    "basis": [str(c) for c in mat.basis],
-                    "triplets": mat.sparse_triplets(),
-                    "rank": mat.rank,
-                }
-            )
-        )
+        gathered = relation_rows(args.weight, families)
+        rows = [row for block in gathered.values() for row in block]
+        cells = [(i, j, str(x)) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+        basis = [str(c) for c in basis_compositions(args.weight)]
+        out = {"weight": args.weight, "basis": basis, "triplets": cells, "rank": rank_of(rows)}
+        print(serial.dumps(out))
         return 0
     row = table_row(args.weight, families)
     if args.format == "json":
@@ -280,10 +272,10 @@ def cmd_rank(args) -> int:
         print(serial.dumps(out))
         return 0
     parts = [f"weight {row.weight}:"]
-    for family in FAMILIES:
+    for family, (label, _) in FAMILIES.items():
         if family in row.families:
             init, rank = row.families[family]
-            parts.append(f"{FAMILY_LABELS[family]} {init}/{rank}")
+            parts.append(f"{label} {init}/{rank}")
     parts += [f"overall {row.overall}", f"expected {row.expected}"]
     print("  ".join(parts))
     return 0

@@ -335,9 +335,25 @@ def has_cyclic_adjacent_ones(lengths: tuple[int, ...]) -> bool:
     return any(lengths[i] == 1 and lengths[(i + 1) % n] == 1 for i in range(n))
 
 
+MAX_ORDERINGS = 10**5  # ceiling: callers build one term or set member per ordering
+
+
 def distinct_orderings(items: tuple[int, ...]):
-    """Every distinct ordering of items once, in lexicographic order."""
+    """Every distinct ordering of items once, in lexicographic order.
+
+    Their number n!/prod m_i! (m_i the multiplicities) is counted first,
+    prefix by prefix of the sorted items, and may not exceed MAX_ORDERINGS.
+    """
     a = sorted(items)
+    count, seen = 1, {}
+    for i, x in enumerate(a, 1):
+        seen[x] = seen.get(x, 0) + 1
+        count = count * i // seen[x]  # the orderings of a[:i], an integer
+        if count > MAX_ORDERINGS:
+            raise ValueError(
+                f"{len(a)} lengths have more distinct orderings than the "
+                f"configured ceiling {MAX_ORDERINGS}"
+            )
     while True:
         yield tuple(a)
         # next permutation: raise the rightmost ascent, then sort the tail

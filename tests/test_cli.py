@@ -481,3 +481,23 @@ class TestModuleEntry:
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert "beyond the configured ceiling 14" in proc.stderr
+
+    # 11! = 39 916 800 orderings; weight 64 with 11 blocks is non-trivial
+    ELEVEN = ",".join(map(str, range(1, 12)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dkernel", "--lengths", ELEVEN, "--set", "closure"),
+            ("dkernel", "--lengths", ELEVEN, "--set", "symmetric"),
+            ("generate", "symmetric", "--lengths", ELEVEN),
+            ("verify", "--family", "symmetric", "--lengths", ELEVEN),
+        ],
+    )
+    def test_ordering_ceiling_exit_2(self, argv):
+        # counted before any ordering is built; bounded so a missing check fails fast
+        proc = _module_run(
+            "blockzeta", *argv, timeout=30, preexec_fn=_limit_address_space
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "distinct orderings than the configured ceiling 100000" in proc.stderr

@@ -1,9 +1,11 @@
 import itertools
+import json
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from blockzeta import cli
 from blockzeta.bigreal import BigReal, bits_for_digits
 from blockzeta.identities import (
     compute_Lk,
@@ -13,11 +15,10 @@ from blockzeta.identities import (
     gen_cyclic_full,
     gen_hoffman,
 )
+from blockzeta.linalg import MERSENNE_61, rank_certificate, rank_of
 from blockzeta.lincomb import LinComb, PiRational
 from blockzeta.numerics import eval_mzv
 from blockzeta.rank import (
-    MERSENNE_61,
-    RelationMatrix,
     _basis_index,
     altodd_rows,
     basis_compositions,
@@ -25,8 +26,7 @@ from blockzeta.rank import (
     cyclic_rows,
     duality_rows,
     identity_vector,
-    rank_certificate,
-    rank_of,
+    relation_rows,
     table_row,
     vectorize,
     zagier_dim,
@@ -388,12 +388,15 @@ class TestTableRows:
             with pytest.raises(ValueError, match="unknown family"):
                 table_row(5, families)
         with pytest.raises(ValueError, match="weight"):
-            RelationMatrix.build(1, ("duality",))
+            relation_rows(1, ("duality",))
 
-    def test_matrix_basis_is_a_copy(self):
-        mat = RelationMatrix.build(5, ("duality",))
-        mat.basis.clear()
-        assert len(RelationMatrix.build(5, ("duality",)).basis) == 8
+    def test_matrix_basis_is_a_copy(self, capsys):
+        # the basis `rank --matrix` prints never aliases the cached _basis_index
+        basis_compositions(5).clear()
+        assert len(basis_compositions(5)) == 8 == len(_basis_index(5))
+        assert cli.run(["rank", "--weight", "5", "--families", "duality", "--matrix"]) == 0
+        printed = json.loads(capsys.readouterr().out)["basis"]
+        assert printed == [str(c) for c in _basis_index(5)] and len(printed) == 8
 
     def test_adding_duality_never_decreases(self):
         for N in (4, 5, 6):

@@ -41,6 +41,11 @@ TRACED = (
     "lincomb.combine",
     "series.g_init",
     "rank.rank_of",
+    "rank.cyclic_rows",
+    "rank.altodd_rows",
+    "rank.duality_rows",
+    "rank.vectorize",
+    "rank.basis_compositions",
     "numerics.eval_word",
     "numerics.recognize_rational",
     "reflect.reflective_closure",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from blockzeta.words import (
+    MAX_ORDERINGS,
     BlockDecomposition,
     ParseError,
     Word,
@@ -189,3 +190,10 @@ class TestBlockCombinatorics:
             for items in itertools.product((1, 2, 3), repeat=n):
                 expected = sorted(set(itertools.permutations(items)))
                 assert list(distinct_orderings(items)) == expected, items
+
+    def test_distinct_orderings_ceiling(self):
+        # counted before the first ordering: 8! = 40 320 pass, 9! = 362 880 do not
+        assert len(list(distinct_orderings(tuple(range(8))))) == 40320 <= MAX_ORDERINGS
+        assert len(list(distinct_orderings((1,) * 200 + (2,)))) == 201
+        with pytest.raises(ValueError, match="configured ceiling"):
+            next(distinct_orderings(tuple(range(9))))
