@@ -383,9 +383,10 @@ def _orbit_sum(tokens: tuple[str, ...], bs_list) -> LinComb:
 def gen_sym_family(kind: str, params: dict) -> Identity:
     """Symmetrised z13312 family and the on-the-nose Theorem-2.7.1 family."""
     if kind == "z13312-sym":
-        b = tuple(params["b"])
-        if len(b) != 5:
-            raise ValueError("z13312-sym needs five b parameters")
+        b = params.get("b")
+        if not isinstance(b, (tuple, list)) or len(b) != 5:
+            raise ValueError(f"z13312-sym needs five b parameters, got {b!r}")
+        b = tuple(b)
         terms = []
         for p_even in itertools.permutations((b[0], b[1], b[4])):
             for p_odd in itertools.permutations((b[2], b[3])):
@@ -399,7 +400,9 @@ def gen_sym_family(kind: str, params: dict) -> Identity:
         rhs = PiRational(Fraction(-factorial(4), factorial(wt + 1)), wt)
         return Identity("z13312-sym", {"b": b}, wt, lhs, rhs)
     if kind == "thm-2-7-1":
-        m = params["m"]
+        m = params.get("m")
+        if not isinstance(m, int):
+            raise ValueError(f"thm-2-7-1 needs an integer m, got {m!r}")
         return gen_cyc123(
             Zeta123Form(("1", "3", "3", "T"), (m, 0, 0, 0, 0)),
             family="thm-2-7-1",
@@ -465,7 +468,6 @@ def gen_altodd_even(lengths) -> Identity:
 @dataclass
 class AltOddRow:
     index: int
-    inserted: int
     b_string: tuple[int, ...]
     b_slots: tuple[int, ...]  # 1-based slots of the odd-position lengths
     c_string: tuple[int, ...]
@@ -508,7 +510,7 @@ def altodd_odd_rows(lengths: tuple[int, ...], x: int) -> list[AltOddRow]:
         ins_c = 2 * (i - 1) + 1
         c_string = tuple(inter[:ins_c] + [v] + inter[ins_c:])
         c_slots = tuple(2 * j + 1 if 2 * j < ins_c else 2 * j + 2 for j in range(n))
-        rows.append(AltOddRow(i, v, b_string, b_slots, c_string, c_slots))
+        rows.append(AltOddRow(i, b_string, b_slots, c_string, c_slots))
     return rows
 
 

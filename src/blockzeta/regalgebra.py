@@ -15,51 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .lincomb import LinComb, PiRational, combine
-from .words import ONE, Word, ZetaComposition, compositions, word_to_mzv
-
-
-def _divergence_terms(w: Word) -> dict[Word, int]:
-    """The divergence relation: a left-divergent word as words starting 01.
-
-    Input shape: 0 0^k 1 0^{n1-1} ... 1 0^{nr-1} 1 with k >= 1, r >= 1.
-    Returns the integer map of a combination equal to I(w).
-    """
-    letters = w.letters
-    if letters[0] != 0 or letters[-1] != 1:
-        raise ValueError(f"divergence relation needs bounds (0,1), got {w}")
-    if len(letters) < 3 or letters[1] != 0:
-        raise ValueError(f"word {w} is not left-divergent")
-    interior = w.interior
-    k = 0
-    while k < len(interior) and interior[k] == 0:
-        k += 1
-    if k == len(interior):
-        raise ValueError(f"word {w} has no 1 in its interior")
-    # exponents of the zero-runs after each interior 1
-    ns = []
-    zeros = None
-    for x in interior[k:]:
-        if x == 1:
-            if zeros is not None:
-                ns.append(zeros + 1)
-            zeros = 0
-        else:
-            zeros += 1
-    ns.append(zeros + 1)
-    r = len(ns)
-    sign = -1 if k % 2 else 1
-    terms = {}
-    for inc in compositions(k, r):
-        coeff = sign
-        for n_j, i_j in zip(ns, inc):
-            coeff *= comb(n_j - 1 + i_j, i_j)
-        out = [0]
-        for n_j, i_j in zip(ns, inc):
-            out.append(1)
-            out.extend([0] * (n_j + i_j - 1))
-        out.append(1)
-        terms[Word(tuple(out))] = coeff
-    return terms
+from .words import ONE, Word, ZetaComposition, word_to_mzv
 
 
 #: word -> {composition: integer coefficient}; shared, so read it only.
@@ -69,15 +25,20 @@ _REG_CACHE: dict[Word, dict[ZetaComposition, int]] = {}
 def _expand_leading(w: Word) -> dict[Word, int]:
     """Divergence expansion of a weight >= 1 word with bounds (0, 1).
 
-    A word with a 1 after its lower bound is its own expansion; a word
-    with an all-zero interior is a shuffle-power of I(0;0;1),
-    regularised to 0.
+    For the interior 0^k 1 v the divergence relation is the shuffle
+    identity reg I(0; 0^k 1 v; 1) = (-1)^k sum I(0; 1 s; 1) over the
+    shuffles s of 0^k with v.  At k = 0 the word is its own expansion; an
+    all-zero interior is a shuffle-power of I(0;0;1), regularised to 0.
     """
-    if w.letters[1] == 1:
-        return {w: 1}
-    if 1 not in w.interior:
+    interior = w.interior
+    if 1 not in interior:
         return {}
-    return _divergence_terms(w)
+    k = interior.index(1)
+    sign = -1 if k % 2 else 1
+    return {
+        Word((0, 1) + s + (1,)): sign * mult
+        for s, mult in shuffle_interiors((0,) * k, interior[k + 1:]).items()
+    }
 
 
 def _regularise_word(w: Word) -> dict[ZetaComposition, int]:

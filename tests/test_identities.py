@@ -348,6 +348,14 @@ class TestCompositionSums:
         ident = gen_sym_family("z13312-sym", {"b": (0, 0, 0, 0, 0)})
         assert ident.rhs == PiRational(Fraction(-24, factorial(11)), 10)
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("z13312-sym", {}), ("thm-2-7-1", {}), ("z13312-sym", {"b": 5})],
+    )
+    def test_sym_family_rejects_missing_or_bad_params(self, kind, params):
+        with pytest.raises(ValueError):
+            gen_sym_family(kind, params)
+
     def test_symmetrised_families_verify(self):
         from blockzeta.numerics import verify
 

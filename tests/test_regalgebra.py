@@ -1,12 +1,13 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockzeta.lincomb import LinComb, PiRational, TensorTerm, combine
 from blockzeta.regalgebra import (
-    _divergence_terms,
+    _expand_leading,
     bernoulli,
     regularise,
     regularise_word,
@@ -30,12 +31,39 @@ from helpers import all_words
 
 
 def divergence_relation(w: Word) -> LinComb:
-    """Expand a left-divergent word into words with a 1 after the bound.
+    """Oracle: the divergence relation in closed form.
 
-    Input shape: 0 0^k 1 0^{n1-1} ... 1 0^{nr-1} 1 with k >= 1, r >= 1.
-    Returns a combination equal to I(w); every output word starts 01.
+    For w = 0 0^k 1 0^{n1-1} ... 1 0^{nr-1} 1 with k >= 1, r >= 1,
+    I(w) = (-1)^k sum over weak compositions (i_1..i_r) of k of
+    prod C(n_j - 1 + i_j, i_j) I(0 1 0^{n1+i1-1} ... 1 0^{nr+ir-1} 1).
     """
-    return combine(_divergence_terms(w).items())
+    interior = w.interior
+    k = interior.index(1)
+    # n_j - 1 is the length of the zero-run after the j-th interior 1
+    ns = []
+    for x in interior[k:]:
+        if x == 1:
+            ns.append(1)
+        else:
+            ns[-1] += 1
+    sign = -1 if k % 2 else 1
+    terms = []
+    for inc in compositions(k, len(ns)):
+        coeff = sign
+        out = [0]
+        for n_j, i_j in zip(ns, inc):
+            coeff *= comb(n_j - 1 + i_j, i_j)
+            out.append(1)
+            out.extend([0] * (n_j + i_j - 1))
+        out.append(1)
+        terms.append((Word(tuple(out)), coeff))
+    return combine(terms)
+
+
+def _left_divergent(w: Word) -> bool:
+    """Bounds (0, 1), a 0 after the lower bound and a 1 in the interior."""
+    letters = w.letters
+    return letters[0] == 0 == letters[1] and letters[-1] == 1 and 1 in w.interior
 
 
 def brute_shuffles(u, v):
@@ -141,34 +169,35 @@ class TestCompositions:
 
 class TestDivergenceRelation:
     def test_worked_example(self):
-        rel = divergence_relation(word("0010111"))
-        expected = LinComb(
-            {
-                word("0100111"): PiRational(Fraction(-2)),
-                word("0101011"): PiRational(Fraction(-1)),
-                word("0101101"): PiRational(Fraction(-1)),
-            }
-        )
-        assert rel == expected
+        assert _expand_leading(word("0010111")) == {
+            word("0100111"): -2,
+            word("0101011"): -1,
+            word("0101101"): -1,
+        }
 
     def test_single_group(self):
-        rel = divergence_relation(word("00101"))
-        assert rel == LinComb({word("01001"): PiRational(Fraction(-2))})
+        assert _expand_leading(word("00101")) == {word("01001"): -2}
 
-    def test_rejects_convergent_leading(self):
-        with pytest.raises(ValueError):
-            divergence_relation(word("0101"))
+    def test_convergent_leading_is_its_own_expansion(self):
+        assert _expand_leading(word("0101")) == {word("0101"): 1}
 
-    def test_rejects_no_ones(self):
-        with pytest.raises(ValueError):
-            divergence_relation(word("0001"))
+    def test_no_ones_expands_to_nothing(self):
+        assert _expand_leading(word("0001")) == {}
+
+    def test_matches_closed_form(self):
+        count = 0
+        for L in range(3, 13):
+            for w in all_words(L):
+                if _left_divergent(w):
+                    assert combine(_expand_leading(w).items()) == divergence_relation(w), w
+                    count += 1
+        # interiors 0 u of L - 2 letters with a 1 in u
+        assert count == sum(2 ** (L - 3) - 1 for L in range(3, 13))
 
     def test_outputs_start_with_one(self):
         for w in all_words(8):
-            if w.letters[0] == 0 == w.letters[1] and w.letters[-1] == 1 and any(
-                x == 1 for x in w.interior
-            ):
-                for out, _ in divergence_relation(w).items():
+            if _left_divergent(w):
+                for out in _expand_leading(w):
                     assert out.letters[1] == 1
                     assert out.weight == w.weight
 

@@ -46,6 +46,8 @@ TRACED = (
     "rank.duality_rows",
     "rank.vectorize",
     "rank.basis_compositions",
+    "regalgebra.regularise",
+    "regalgebra.stuffle_depth1",
     "numerics.eval_word",
     "numerics.recognize_rational",
     "reflect.reflective_closure",
