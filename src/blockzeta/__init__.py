@@ -54,8 +54,9 @@ from .identities import (
     gen_double_alt,
     gen_general_hoffman,
     gen_hoffman,
-    gen_sym_family,
     gen_symmetric,
+    gen_thm_2_7_1,
+    gen_z13312_sym,
 )
 from .numerics import (
     eval_lincomb,

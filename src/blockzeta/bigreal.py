@@ -128,9 +128,6 @@ class BigReal:
         return d
 
 
-_PI_CACHE: dict[int, tuple[int, int]] = {}
-
-
 def _arctan_inv(q: int, bits: int) -> tuple[int, int]:
     """arctan(1/q) * 2^bits with an error bound in ulps."""
     acc = 0
@@ -150,18 +147,11 @@ def _arctan_inv(q: int, bits: int) -> tuple[int, int]:
 
 
 def pi_bigreal(bits: int) -> BigReal:
-    """pi at the given scale via Machin's formula, cached per scale."""
+    """pi at the given scale via Machin's formula."""
     work = bits + 16
-    cached = _PI_CACHE.get(work)
-    if cached is None:
-        a5, e5 = _arctan_inv(5, work)
-        a239, e239 = _arctan_inv(239, work)
-        man = 16 * a5 - 4 * a239
-        err = 16 * e5 + 4 * e239 + 2
-        _PI_CACHE[work] = (man, err)
-        cached = (man, err)
-    man, err = cached
-    return BigReal(man, work, err)._rescale(bits)
+    a5, e5 = _arctan_inv(5, work)
+    a239, e239 = _arctan_inv(239, work)
+    return BigReal(16 * a5 - 4 * a239, work, 16 * e5 + 4 * e239 + 2)._rescale(bits)
 
 
 _PI_POW_CACHE: dict[tuple[int, int], BigReal] = {}

@@ -30,8 +30,9 @@ from .identities import (
     gen_double_alt,
     gen_general_hoffman,
     gen_hoffman,
-    gen_sym_family,
     gen_symmetric,
+    gen_thm_2_7_1,
+    gen_z13312_sym,
 )
 from .linalg import rank_of
 from .lincomb import LinComb
@@ -96,9 +97,9 @@ def build_identity(args) -> Identity:
     if fam in ("bowman-bradley", "z1333-compsum", "further-13332n"):
         return gen_composition_sums(fam, args.m, args.n)
     if fam == "z13312-sym":
-        return gen_sym_family(fam, {"b": _ints(args.b)})
+        return gen_z13312_sym(_ints(args.b))
     if fam == "thm-2-7-1":
-        return gen_sym_family(fam, {"m": args.m})
+        return gen_thm_2_7_1(args.m)
     if fam == "altodd-even":
         return gen_altodd_even(_ints(args.lengths))
     if fam == "altodd-odd":

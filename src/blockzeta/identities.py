@@ -1,17 +1,18 @@
 """Generators for the cyclic-insertion, Hoffman, alt-odd and 123 families.
 
-Every generator returns an Identity: a weight-homogeneous left-hand
-combination together with the closed-form right-hand constant (a
-PiRational, possibly zero, or None for "some rational times zeta(N)").
-The difference lhs - rhs is the machine-checkable "= 0" form consumed by
-numeric verification and by the rank table.
+Every generator is one function of its own arguments and returns an
+Identity: a weight-homogeneous left-hand combination together with the
+closed-form right-hand constant (a PiRational, possibly zero, or None
+for "some rational times zeta(N)").  The difference lhs - rhs is the
+machine-checkable "= 0" form consumed by numeric verification and by
+the rank table.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -86,6 +87,11 @@ class Identity:
         rhs = "q*zeta(N), q unknown" if self.rhs is None else str(self.rhs)
         params = dict(sorted(self.params.items()))  # the JSON key order
         return f"{self.family}{params} weight {self.weight}, rhs {rhs}"
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _nontrivial_block(lengths: tuple[int, ...]) -> BlockDecomposition:
@@ -234,6 +240,8 @@ class Zeta123Form:
     def __post_init__(self):
         if len(self.bs) != len(self.tokens) + 1:
             raise ValueError("need one more b entry than a-tokens")
+        if not all(_is_int(b) for b in self.bs):
+            raise ValueError(f"b exponents must be integers, got {self.bs!r}")
         if any(b < 0 for b in self.bs):
             raise ValueError("b exponents must be >= 0")
         for i, tok in enumerate(self.tokens):
@@ -271,7 +279,7 @@ class Zeta123Form:
         return f"z({toks} | {bs})"
 
 
-def gen_cyc123(z: Zeta123Form, family: str = "cyc123", params: dict | None = None) -> Identity:
+def gen_cyc123(z: Zeta123Form) -> Identity:
     """Cyclic insertion for a 123-MZV: the block cyclic sum read as MZVs.
 
     Each rotation of the block lengths of z's word is read back through
@@ -289,22 +297,13 @@ def gen_cyc123(z: Zeta123Form, family: str = "cyc123", params: dict | None = Non
         rhs = PiRational(Fraction(0))
     else:
         rhs = zeta_two_power(N // 2) * (sign * (-1) ** (N // 2))
-    return Identity(
-        family,
-        params if params is not None else {"form": str(z)},
-        N,
-        combine(terms),
-        rhs,
-    )
+    return Identity("cyc123", {"form": str(z)}, N, combine(terms), rhs)
 
 
 def gen_hoffman(b1: int, b2: int, b3: int) -> Identity:
     """Generic Hoffman identity zeta(3,3|b) - zeta(3,(1,2)|..) + ..."""
-    return gen_cyc123(
-        Zeta123Form(("3", "3"), (b1, b2, b3)),
-        family="hoffman",
-        params={"b": (b1, b2, b3)},
-    )
+    ident = gen_cyc123(Zeta123Form(("3", "3"), (b1, b2, b3)))
+    return replace(ident, family="hoffman", params={"b": (b1, b2, b3)})
 
 
 def gen_general_hoffman(n: int, bs: tuple[int, ...], c: int) -> Identity:
@@ -314,13 +313,12 @@ def gen_general_hoffman(n: int, bs: tuple[int, ...], c: int) -> Identity:
         raise ValueError(f"need 2n = {2 * n} b-parameters, got {len(bs)}")
     base = gen_cyc123(Zeta123Form(("3",) * (2 * n), bs + (c,)))
     # displayed with the i-th term signed (-1)^i, i.e. the negated orbit sum
-    rhs = None if base.rhs is None else -base.rhs
-    return Identity(
-        "general-hoffman",
-        {"n": n, "b": bs, "c": c},
-        base.weight,
-        -base.lhs,
-        rhs,
+    return replace(
+        base,
+        family="general-hoffman",
+        params={"n": n, "b": bs, "c": c},
+        lhs=-base.lhs,
+        rhs=-base.rhs,
     )
 
 
@@ -330,8 +328,8 @@ def gen_bbbl(bs: tuple[int, ...]) -> Identity:
     if len(bs) % 2 == 0:
         raise ValueError("need an odd number of insertion parameters b0..b_{2n}")
     n = (len(bs) - 1) // 2
-    z = Zeta123Form(("1", "3") * n, bs)
-    return gen_cyc123(z, family="bbbl", params={"b": bs})
+    ident = gen_cyc123(Zeta123Form(("1", "3") * n, bs))
+    return replace(ident, family="bbbl", params={"b": bs})
 
 
 # --------------------------------------------------------------------------
@@ -340,6 +338,8 @@ def gen_bbbl(bs: tuple[int, ...]) -> Identity:
 
 def gen_composition_sums(kind: str, m: int, n: int = 1) -> Identity:
     """Composition-sum families: Bowman-Bradley and the z1333 variants."""
+    if not (_is_int(m) and _is_int(n)):
+        raise ValueError(f"composition sums need integer m, n, got m={m!r}, n={n!r}")
     if m < 0 or n < 0:
         raise ValueError(f"composition sums need m, n >= 0, got m={m}, n={n}")
     if kind == "bowman-bradley":
@@ -380,35 +380,28 @@ def _orbit_sum(tokens: tuple[str, ...], bs_list) -> LinComb:
     )
 
 
-def gen_sym_family(kind: str, params: dict) -> Identity:
-    """Symmetrised z13312 family and the on-the-nose Theorem-2.7.1 family."""
-    if kind == "z13312-sym":
-        b = params.get("b")
-        if not isinstance(b, (tuple, list)) or len(b) != 5:
-            raise ValueError(f"z13312-sym needs five b parameters, got {b!r}")
-        b = tuple(b)
-        terms = []
-        for p_even in itertools.permutations((b[0], b[1], b[4])):
-            for p_odd in itertools.permutations((b[2], b[3])):
-                c = (p_even[0], p_even[1], p_odd[0], p_odd[1], p_even[2])
-                terms.extend(gen_cyc123(Zeta123Form(("1", "3", "3", "3"), c)).lhs.items())
-                terms.extend(_scaled(gen_cyc123(
-                    Zeta123Form(("1", "3", "3", "T"), (c[0], c[1], c[2], c[4], c[3]))
-                ).lhs, -1))
-        lhs = combine(terms)
-        wt = 10 + 2 * sum(b)
-        rhs = PiRational(Fraction(-factorial(4), factorial(wt + 1)), wt)
-        return Identity("z13312-sym", {"b": b}, wt, lhs, rhs)
-    if kind == "thm-2-7-1":
-        m = params.get("m")
-        if not isinstance(m, int):
-            raise ValueError(f"thm-2-7-1 needs an integer m, got {m!r}")
-        return gen_cyc123(
-            Zeta123Form(("1", "3", "3", "T"), (m, 0, 0, 0, 0)),
-            family="thm-2-7-1",
-            params={"m": m},
-        )
-    raise ValueError(f"unknown symmetrised kind {kind!r}")
+def gen_z13312_sym(b: tuple[int, ...]) -> Identity:
+    """Symmetrised z13312 family over the orderings of (b1, b2, b5) and (b3, b4)."""
+    b = tuple(b)
+    if len(b) != 5:
+        raise ValueError(f"z13312-sym needs five b parameters, got {b!r}")
+    terms = []
+    for p_even in itertools.permutations((b[0], b[1], b[4])):
+        for p_odd in itertools.permutations((b[2], b[3])):
+            c = (p_even[0], p_even[1], p_odd[0], p_odd[1], p_even[2])
+            terms.extend(gen_cyc123(Zeta123Form(("1", "3", "3", "3"), c)).lhs.items())
+            terms.extend(_scaled(gen_cyc123(
+                Zeta123Form(("1", "3", "3", "T"), (c[0], c[1], c[2], c[4], c[3]))
+            ).lhs, -1))
+    wt = 10 + 2 * sum(b)
+    rhs = PiRational(Fraction(-factorial(4), factorial(wt + 1)), wt)
+    return Identity("z13312-sym", {"b": b}, wt, combine(terms), rhs)
+
+
+def gen_thm_2_7_1(m: int) -> Identity:
+    """The on-the-nose Theorem-2.7.1 family z_cyc(1,3,3,(1,2) | m,0,0,0,0)."""
+    ident = gen_cyc123(Zeta123Form(("1", "3", "3", "T"), (m, 0, 0, 0, 0)))
+    return replace(ident, family="thm-2-7-1", params={"m": m})
 
 
 # --------------------------------------------------------------------------
@@ -465,65 +458,36 @@ def gen_altodd_even(lengths) -> Identity:
     )
 
 
-@dataclass
-class AltOddRow:
-    index: int
-    b_string: tuple[int, ...]
-    b_slots: tuple[int, ...]  # 1-based slots of the odd-position lengths
-    c_string: tuple[int, ...]
-    c_slots: tuple[int, ...]
+def gen_altodd_odd(lengths, x: int) -> Identity:
+    """Odd-weight alt-odd candidate: the signed sum of the rows R_i.
 
-
-def altodd_odd_rows(lengths: tuple[int, ...], x: int) -> list[AltOddRow]:
-    """Row data for the odd-weight alt-odd candidate (steps 1-4).
-
-    Row i drops the i-th even-position length, interleaves the odd
-    positions with the kept evens, and inserts x - sum(kept evens) to
-    the left (B) and right (C) of the i-th odd length.
+    Row i drops the i-th even-position length and interleaves the odd
+    positions with the kept evens; v = x - sum(kept evens) goes in to the
+    left (string B) and to the right (string C) of the i-th odd length.
+    Each string alternates its odd lengths; row i is signed (-1)^i.
     """
     lengths = tuple(lengths)
     if len(lengths) % 2 or len(lengths) < 2:
         raise ValueError("need an even number of block lengths")
-    n = len(lengths) // 2
-    odds = lengths[0::2]
-    evens = lengths[1::2]
+    odds, evens = lengths[0::2], lengths[1::2]
     if (x + sum(odds)) % 2 == 0:
         raise ValueError(
             f"constraint violated: x + sum(odd positions) = "
             f"{x + sum(odds)} must be odd"
         )
-    rows = []
-    for i in range(1, n + 1):
-        kept = evens[: i - 1] + evens[i:]
+    n = len(odds)
+    terms = []
+    for i in range(n):
+        kept = evens[:i] + evens[i + 1:]
         v = x - sum(kept)
         if v <= 0:
-            raise ValueError(f"constraint violated: x - sum(E_{i}) = {v} must be > 0")
-        inter: list[int] = []
-        for j in range(n):
-            inter.append(odds[j])
-            if j < n - 1:
-                inter.append(kept[j])
-        # odd length j sits at inter index 2j; insertion shifts later slots
-        ins_b = 2 * (i - 1)
-        b_string = tuple(inter[:ins_b] + [v] + inter[ins_b:])
-        b_slots = tuple(2 * j + 1 if 2 * j < ins_b else 2 * j + 2 for j in range(n))
-        ins_c = 2 * (i - 1) + 1
-        c_string = tuple(inter[:ins_c] + [v] + inter[ins_c:])
-        c_slots = tuple(2 * j + 1 if 2 * j < ins_c else 2 * j + 2 for j in range(n))
-        rows.append(AltOddRow(i, b_string, b_slots, c_string, c_slots))
-    return rows
-
-
-def gen_altodd_odd(lengths, x: int) -> Identity:
-    """Odd-weight alt-odd candidate: signed sum of the rows R_i."""
-    lengths = tuple(lengths)
-    rows = altodd_odd_rows(lengths, x)
-    terms = []
-    for row in rows:
-        sign = 1 if row.index % 2 else -1  # (-1)^(i+1), first row positive
-        terms.extend(_scaled(alt_sum(row.b_string, row.b_slots), sign))
-        terms.extend(_scaled(alt_sum(row.c_string, row.c_slots), sign))
-    N = x + sum(lengths[0::2]) - 2
+            raise ValueError(f"constraint violated: x - sum(E_{i + 1}) = {v} must be > 0")
+        inter = [*itertools.chain.from_iterable(zip(odds, kept)), odds[-1]]
+        # odd length j sits at inter index 2j; the insertion shifts later slots
+        for ins in (2 * i, 2 * i + 1):
+            slots = tuple(2 * j + 1 + (2 * j >= ins) for j in range(n))
+            terms.extend(_scaled(alt_sum(inter[:ins] + [v] + inter[ins:], slots), (-1) ** i))
+    N = x + sum(odds) - 2
     return Identity(
         "altodd-odd",
         {"lengths": lengths, "x": x},

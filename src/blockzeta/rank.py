@@ -151,7 +151,7 @@ def _altodd_identities(N: int):
     identically zero).  Even N: compositions of N+2 into n >= 3 parts of
     the non-trivial parity, one per class of the Alt symmetry.  Odd N:
     compositions of m <= N into an even number of parts, x fixed by the
-    weight; those violating the positivity constraint are skipped.
+    weight; x - sum(E_i) >= N + 2 - m, so every constraint holds.
     """
     if N % 2 == 0:
         seen = set()
@@ -167,14 +167,8 @@ def _altodd_identities(N: int):
         for parts in range(2, m + 1, 2):
             for comp in _compositions_pos(m, parts):
                 odds = comp[0::2]
-                x = N + 2 - sum(odds)
-                if len(set(odds)) < len(odds) or x <= 0:
-                    continue
-                try:
-                    ident = gen_altodd_odd(comp, x)
-                except ValueError:
-                    continue
-                yield ident
+                if len(set(odds)) == len(odds):
+                    yield gen_altodd_odd(comp, N + 2 - sum(odds))
 
 
 def altodd_rows(N: int) -> list[list[Fraction]]:

@@ -9,7 +9,6 @@ from blockzeta.identities import (
     Identity,
     Zeta123Form,
     alt_sum,
-    altodd_odd_rows,
     compute_Lk,
     cyclic_sum,
     gen_altodd_even,
@@ -22,10 +21,12 @@ from blockzeta.identities import (
     gen_double_alt,
     gen_general_hoffman,
     gen_hoffman,
-    gen_sym_family,
     gen_symmetric,
+    gen_thm_2_7_1,
+    gen_z13312_sym,
 )
 from blockzeta.lincomb import LinComb, PiRational, TensorTerm
+from blockzeta.rank import _compositions_pos
 from blockzeta.regalgebra import shuffle_words
 from blockzeta.words import (
     ZetaComposition,
@@ -46,6 +47,23 @@ class TestIdentity:
         lhs = LinComb.term(TensorTerm(word("01011"), word("0101"), 3))
         with pytest.raises(ValueError, match="identity terms are words or zeta values"):
             Identity("cyclic-basic", {}, 3, lhs, None)
+
+
+@pytest.mark.parametrize(
+    "generate, args",
+    [
+        pytest.param(gen_hoffman, ("a", 0, 0), id="hoffman-str"),
+        pytest.param(gen_hoffman, (0.5, 0, 0), id="hoffman-float"),
+        pytest.param(gen_hoffman, (True, 0, 0), id="hoffman-bool"),
+        pytest.param(gen_bbbl, (("x",),), id="bbbl-str"),
+        pytest.param(gen_composition_sums, ("z1333-compsum", 0.5), id="compsum-float"),
+        pytest.param(gen_general_hoffman, (1, (0.5, 0), 0), id="general-hoffman-float"),
+        pytest.param(gen_thm_2_7_1, ("a",), id="thm-2-7-1-str"),
+    ],
+)
+def test_non_integer_parameters_raise_value_error(generate, args):
+    with pytest.raises(ValueError, match="integer"):
+        generate(*args)
 
 
 class TestComputeLk:
@@ -221,7 +239,7 @@ class TestCyc123Identities:
     def test_thm_271_five_terms(self):
         # z_cyc(1,3,3,(1,2) | m,0,0,0,0) for m = 2, all five members
         m = 2
-        ident = gen_sym_family("thm-2-7-1", {"m": m})
+        ident = gen_thm_2_7_1(m)
         expected = {
             ZetaComposition((2,) * m + (1, 3, 3, 1, 2)): 1,
             ZetaComposition((3, 1, 2, 1) + (2,) * m + (3,)): 1,
@@ -345,16 +363,13 @@ class TestCompositionSums:
             gen_composition_sums(kind, m=m, n=n)
 
     def test_z13312_sym_degenerate(self):
-        ident = gen_sym_family("z13312-sym", {"b": (0, 0, 0, 0, 0)})
+        ident = gen_z13312_sym((0, 0, 0, 0, 0))
         assert ident.rhs == PiRational(Fraction(-24, factorial(11)), 10)
 
-    @pytest.mark.parametrize(
-        "kind, params",
-        [("z13312-sym", {}), ("thm-2-7-1", {}), ("z13312-sym", {"b": 5})],
-    )
-    def test_sym_family_rejects_missing_or_bad_params(self, kind, params):
-        with pytest.raises(ValueError):
-            gen_sym_family(kind, params)
+    def test_z13312_sym_needs_five_parameters(self):
+        for b in [(), (0, 1), (0, 0, 0, 0, 0, 0)]:
+            with pytest.raises(ValueError, match="five b parameters"):
+                gen_z13312_sym(b)
 
     def test_symmetrised_families_verify(self):
         from blockzeta.numerics import verify
@@ -362,8 +377,8 @@ class TestCompositionSums:
         for ident in (
             gen_composition_sums("z1333-compsum", m=1),
             gen_composition_sums("further-13332n", m=2),
-            gen_sym_family("z13312-sym", {"b": (0, 0, 0, 0, 0)}),
-            gen_sym_family("thm-2-7-1", {"m": 1}),
+            gen_z13312_sym((0, 0, 0, 0, 0)),
+            gen_thm_2_7_1(1),
         ):
             assert verify(ident, 35).status == "verified", ident.describe()
 
@@ -398,14 +413,39 @@ class TestAltFamilies:
         assert total == 0  # signed permutation sum
 
     def test_altodd_odd_rows_match_display(self):
+        # the displayed strings of R_1 and R_2, odd lengths alternated in
+        # the marked slots; rows signed +, -
         l1, l2, l3, l4 = 2, 3, 4, 5
-        x = 8  # x + l1 + l3 = 14 even -> invalid; pick x making it odd
-        x = 7  # 7 + 6 = 13 odd
-        rows = altodd_odd_rows((l1, l2, l3, l4), x)
-        assert rows[0].b_string == (x - l4, l1, l4, l3)
-        assert rows[0].c_string == (l1, x - l4, l4, l3)
-        assert rows[1].b_string == (l1, l2, x - l2, l3)
-        assert rows[1].c_string == (l1, l2, l3, x - l2)
+        x = 7  # x + l1 + l3 = 13 is odd
+        expected = (
+            alt_sum((x - l4, l1, l4, l3), (2, 4))
+            + alt_sum((l1, x - l4, l4, l3), (1, 4))
+            - alt_sum((l1, l2, x - l2, l3), (1, 4))
+            - alt_sum((l1, l2, l3, x - l2), (1, 3))
+        )
+        assert not expected.is_zero
+        assert gen_altodd_odd((l1, l2, l3, l4), x).lhs == expected
+
+    @pytest.mark.parametrize("N", [3, 5, 7, 9, 11])
+    def test_altodd_odd_matches_row_oracle(self, N):
+        # every (lengths, x) that the odd-weight rank sweep draws; its x
+        # leaves x - sum(E_i) >= N + 2 - sum(lengths) >= 2, so none is rejected
+        checked = rejected = 0
+        for m in range(2, N + 1):
+            for parts in range(2, m + 1, 2):
+                for lengths in _compositions_pos(m, parts):
+                    odds = lengths[0::2]
+                    if len(set(odds)) < len(odds):
+                        continue
+                    rejected += _agrees_with_row_oracle(lengths, N + 2 - sum(odds))
+                    checked += 1
+        assert checked > 0 and rejected == 0
+
+    @pytest.mark.parametrize(
+        "lengths, x", [((2, 3, 4, 5), 8), ((1, 5, 2, 5), 4), ((1, 2, 3), 4), ((), 3)]
+    )
+    def test_altodd_odd_rejects_as_row_oracle(self, lengths, x):
+        assert _agrees_with_row_oracle(lengths, x)
 
     def test_altodd_odd_constraints_named(self):
         with pytest.raises(ValueError, match="x \\+ sum"):
@@ -435,3 +475,61 @@ class TestAltFamilies:
 
         for lengths in [(1, 1, 2, 2, 3, 4), (1, 1, 2, 2, 4, 3)]:
             assert verify(gen_double_alt(lengths), 30).status == "verified"
+
+
+def altodd_odd_rows(lengths: tuple[int, ...], x: int) -> list[tuple]:
+    """Row oracle for the odd-weight alt-odd candidate (steps 1-4).
+
+    Row i (1-based) drops the i-th even-position length, interleaves the
+    odd positions with the kept evens, and inserts x - sum(kept evens) to
+    the left (B) and right (C) of the i-th odd length.  Each row is
+    (i, B string, B slots, C string, C slots), the slots 1-based.
+    """
+    lengths = tuple(lengths)
+    if len(lengths) % 2 or len(lengths) < 2:
+        raise ValueError("need an even number of block lengths")
+    n = len(lengths) // 2
+    odds = lengths[0::2]
+    evens = lengths[1::2]
+    if (x + sum(odds)) % 2 == 0:
+        raise ValueError(
+            f"constraint violated: x + sum(odd positions) = "
+            f"{x + sum(odds)} must be odd"
+        )
+    rows = []
+    for i in range(1, n + 1):
+        kept = evens[: i - 1] + evens[i:]
+        v = x - sum(kept)
+        if v <= 0:
+            raise ValueError(f"constraint violated: x - sum(E_{i}) = {v} must be > 0")
+        inter: list[int] = []
+        for j in range(n):
+            inter.append(odds[j])
+            if j < n - 1:
+                inter.append(kept[j])
+        # odd length j sits at inter index 2j; insertion shifts later slots
+        ins_b = 2 * (i - 1)
+        b_string = tuple(inter[:ins_b] + [v] + inter[ins_b:])
+        b_slots = tuple(2 * j + 1 if 2 * j < ins_b else 2 * j + 2 for j in range(n))
+        ins_c = 2 * (i - 1) + 1
+        c_string = tuple(inter[:ins_c] + [v] + inter[ins_c:])
+        c_slots = tuple(2 * j + 1 if 2 * j < ins_c else 2 * j + 2 for j in range(n))
+        rows.append((i, b_string, b_slots, c_string, c_slots))
+    return rows
+
+
+def _agrees_with_row_oracle(lengths, x) -> bool:
+    """Check gen_altodd_odd against the row oracle; True if both reject."""
+    try:
+        rows = altodd_odd_rows(lengths, x)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            gen_altodd_odd(lengths, x)
+        assert str(got.value) == str(err), (lengths, x)
+        return True
+    expected = LinComb.zero()
+    for i, b_string, b_slots, c_string, c_slots in rows:
+        row = alt_sum(b_string, b_slots) + alt_sum(c_string, c_slots)
+        expected = expected + (row if i % 2 else -row)  # first row positive
+    assert gen_altodd_odd(lengths, x).lhs == expected, (lengths, x)
+    return False

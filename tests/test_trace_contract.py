@@ -51,6 +51,7 @@ TRACED = (
     "numerics.eval_word",
     "numerics.recognize_rational",
     "reflect.reflective_closure",
+    "identities.generate",
 )
 
 
