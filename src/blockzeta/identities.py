@@ -27,6 +27,7 @@ from .words import (
     compositions,
     distinct_orderings,
     has_cyclic_adjacent_ones,
+    is_int,
     mzv_to_word,
     rotations,
     word_of,
@@ -89,11 +90,6 @@ class Identity:
         return f"{self.family}{params} weight {self.weight}, rhs {rhs}"
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _nontrivial_block(lengths: tuple[int, ...]) -> BlockDecomposition:
     B = BlockDecomposition(0, tuple(lengths))
     if B.is_trivial:
@@ -113,18 +109,6 @@ def _scaled(c: LinComb, scalar):
 def cyclic_sum(lengths: tuple[int, ...]) -> LinComb:
     """Sum of I_bl over all cyclic permutations of the lengths."""
     return combine((block_word(rot), 1) for rot in rotations(tuple(lengths)))
-
-
-def cyclic_head(lengths: tuple[int, ...]) -> LinComb:
-    """The cyclic sum minus I_bl(N+2), shared by every cyclic relation.
-
-    At odd weight N the block integral I_bl(N+2) is trivial, hence 0.
-    """
-    N = sum(lengths) - 2
-    head = cyclic_sum(lengths)
-    if N % 2 == 0:
-        head = head - LinComb.term(block_word((N + 2,)), 1)
-    return head
 
 
 def gen_symmetric(B: BlockDecomposition) -> Identity:
@@ -155,22 +139,18 @@ def compute_Lk(lengths: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
 
 
 def gen_cyclic_basic(lengths) -> Identity:
-    """Basic cyclic insertion: the cyclic sum equals I_bl(N+2)."""
+    """Basic cyclic insertion: the full identity of lengths without runs of unit blocks.
+
+    Without cyclically adjacent ones no rotation starts with a run of
+    ones, so there is no product correction: the cyclic sum equals I_bl(N+2).
+    """
     lengths = tuple(lengths)
-    if len(lengths) < 2:
-        raise ValueError("cyclic insertion on a single block is a tautology")
-    B = _nontrivial_block(lengths)
+    ident = gen_cyclic_full(lengths)
     if has_cyclic_adjacent_ones(lengths):
         raise ValueError(
             f"{lengths} has cyclically adjacent (1,1); use the full version"
         )
-    return Identity(
-        "cyclic-basic",
-        {"lengths": lengths},
-        B.weight,
-        cyclic_head(lengths),
-        PiRational(Fraction(0)),
-    )
+    return replace(ident, family="cyclic-basic", params={"lengths": lengths})
 
 
 def gen_cyclic_full(lengths, mode: str = "transcendental") -> Identity:
@@ -194,7 +174,9 @@ def gen_cyclic_full(lengths, mode: str = "transcendental") -> Identity:
         raise ValueError(f"unknown mode {mode!r}")
     B = _nontrivial_block(lengths)
     N = B.weight
-    terms = list(cyclic_head(lengths).items())
+    terms = list(cyclic_sum(lengths).items())
+    if N % 2 == 0:  # at odd weight N the block integral I_bl(N+2) is trivial
+        terms.append((block_word((N + 2,)), -1))
     for k in range(1, len(lengths) // 2 + 1):
         ms = compute_Lk(lengths, 2 * k)
         if mode == "transcendental":
@@ -240,7 +222,7 @@ class Zeta123Form:
     def __post_init__(self):
         if len(self.bs) != len(self.tokens) + 1:
             raise ValueError("need one more b entry than a-tokens")
-        if not all(_is_int(b) for b in self.bs):
+        if not all(is_int(b) for b in self.bs):
             raise ValueError(f"b exponents must be integers, got {self.bs!r}")
         if any(b < 0 for b in self.bs):
             raise ValueError("b exponents must be >= 0")
@@ -284,7 +266,7 @@ def gen_cyc123(z: Zeta123Form) -> Identity:
 
     Each rotation of the block lengths of z's word is read back through
     word_to_mzv and signed so that z itself has coefficient 1.  At even
-    weight N the sum is the I_bl(N+2) term that cyclic_head subtracts,
+    weight N the sum is the I_bl(N+2) term that gen_cyclic_full subtracts,
     (-1)^(N/2) zeta({2}^(N/2)) in the same sign; at odd weight it is 0.
     """
     w, sign = mzv_to_word(z.expand())
@@ -338,7 +320,7 @@ def gen_bbbl(bs: tuple[int, ...]) -> Identity:
 
 def gen_composition_sums(kind: str, m: int, n: int = 1) -> Identity:
     """Composition-sum families: Bowman-Bradley and the z1333 variants."""
-    if not (_is_int(m) and _is_int(n)):
+    if not (is_int(m) and is_int(n)):
         raise ValueError(f"composition sums need integer m, n, got m={m!r}, n={n!r}")
     if m < 0 or n < 0:
         raise ValueError(f"composition sums need m, n >= 0, got m={m}, n={n}")
@@ -469,6 +451,8 @@ def gen_altodd_odd(lengths, x: int) -> Identity:
     lengths = tuple(lengths)
     if len(lengths) % 2 or len(lengths) < 2:
         raise ValueError("need an even number of block lengths")
+    if not is_int(x):
+        raise ValueError(f"x must be an integer, got {x!r}")
     odds, evens = lengths[0::2], lengths[1::2]
     if (x + sum(odds)) % 2 == 0:
         raise ValueError(

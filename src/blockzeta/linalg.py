@@ -184,7 +184,10 @@ def rank_certificate(rows: list[list[Fraction]]) -> RankCertificate:
     pivots over Q are the earliest possible); one that agrees with it is
     combined by CRT.  After each prime the kernel vectors are lifted by
     rational reconstruction and returned only if they pass the exact check.
+    Rows of different lengths are rejected.
     """
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("rows differ in length")
     mat = _integer_rows(rows)
     transposed = bool(mat) and len(mat) < len(mat[0])
     if transposed:

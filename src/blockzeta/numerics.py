@@ -183,16 +183,12 @@ def eval_lincomb(c: LinComb, digits: int = DEFAULT_DIGITS) -> BigReal:
     missing = [
         mzv_to_word(key)[0]
         for key in flat.keys()
-        if isinstance(key, ZetaComposition) and key.args and key.is_convergent
-        and _cache.get(key, digits) is None
+        if key.args and key.is_convergent and _cache.get(key, digits) is None
     ]
     _state_values([k for w in missing for k in _keys(w)], *_orders(bits))
     acc = BigReal.exact_zero(bits)
     for key, coeff in flat.items():
-        if not isinstance(key, ZetaComposition):
-            raise TypeError(f"cannot evaluate term {key!r}")
-        base = BigReal.from_int(1, bits) if not key.args else eval_mzv(key, digits)
-        term = base.mul_fraction(coeff.coeff)
+        term = eval_mzv(key, digits).mul_fraction(coeff.coeff)
         if coeff.pi_exp:
             term = term * pi_power(coeff.pi_exp, bits)
         acc = acc + term

@@ -63,8 +63,6 @@ def vectorize(comb: LinComb, N: int) -> list[Fraction]:
     index = _basis_index(N)
     vec = [Fraction(0)] * len(index)
     for key, coeff in regularise(comb).items():
-        if not isinstance(key, ZetaComposition):
-            raise TypeError(f"cannot vectorise term {key!r}")
         if key.weight + coeff.pi_exp != N:
             raise ValueError(
                 f"weight {key.weight + coeff.pi_exp} term in weight-{N} relation"
@@ -76,9 +74,6 @@ def vectorize(comb: LinComb, N: int) -> list[Fraction]:
             continue
         k = coeff.pi_exp // 2
         q = coeff.coeff / zeta_even_coeff(k).coeff
-        if not key.args:
-            vec[index[ZetaComposition((2 * k,))]] += q
-            continue
         for comp, c in stuffle_depth1(2 * k, key).items():
             vec[index[comp]] += q * c.coeff
     return vec
@@ -118,19 +113,11 @@ def cyclic_family(N: int) -> list[tuple[int, ...]]:
 
 def duality_rows(N: int) -> list[list[Fraction]]:
     """One row zeta(w) - zeta(dual w) per non-self-dual convergent word."""
-    index = _basis_index(N)
-    rows = []
-    for w in convergent_words(N):
-        dw = w.dual()
-        if dw == w:
-            continue
-        comp, _ = word_to_mzv(w)
-        dcomp, _ = word_to_mzv(dw)
-        vec = [Fraction(0)] * len(index)
-        vec[index[comp]] += 1
-        vec[index[dcomp]] -= 1
-        rows.append(vec)
-    return rows
+    return [
+        vectorize(LinComb.term(word_to_mzv(w)[0]) - LinComb.term(word_to_mzv(w.dual())[0]), N)
+        for w in convergent_words(N)
+        if w.dual() != w
+    ]
 
 
 def _some_term_has_adjacent_ones(comb: LinComb) -> bool:

@@ -105,6 +105,11 @@ def word(text: str) -> Word:
     return Word.parse(text)
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Starting letter plus the lengths of the maximal alternating blocks."""
@@ -113,11 +118,13 @@ class BlockDecomposition:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        if self.eps1 not in (0, 1):
+        if not is_int(self.eps1) or self.eps1 not in (0, 1):
             raise ValueError("eps1 must be 0 or 1")
         if not self.lengths:
             raise ValueError("need at least one block")
         for l in self.lengths:
+            if not is_int(l):
+                raise ValueError(f"block lengths must be integers, got {l!r}")
             if l < 1:
                 raise ValueError("block lengths must be >= 1")
 

@@ -26,12 +26,14 @@ from blockzeta.identities import (
     gen_z13312_sym,
 )
 from blockzeta.lincomb import LinComb, PiRational, TensorTerm
-from blockzeta.rank import _compositions_pos
+from blockzeta.rank import _compositions_pos, cyclic_family
 from blockzeta.regalgebra import shuffle_words
 from blockzeta.words import (
+    BlockDecomposition,
     ZetaComposition,
     block_decompose,
     blocks,
+    has_cyclic_adjacent_ones,
     mzv_to_word,
     word,
     word_of,
@@ -64,6 +66,29 @@ class TestIdentity:
 def test_non_integer_parameters_raise_value_error(generate, args):
     with pytest.raises(ValueError, match="integer"):
         generate(*args)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: gen_cyclic_full((2, 3.5, 1)), "block lengths", id="cyclic-full"),
+        pytest.param(lambda: gen_double_alt((1, 2, 3, 5.5)), "block lengths", id="double-alt"),
+        pytest.param(lambda: gen_altodd_odd((2, 3, 4, 5), 7.5), "x must be", id="altodd-odd-x"),
+        pytest.param(
+            lambda: gen_altodd_even((2, 3, "a", 3, 5)), "block lengths", id="altodd-even"
+        ),
+        pytest.param(
+            lambda: gen_symmetric(BlockDecomposition(0, (2, 3.5, 1))), "block lengths",
+            id="symmetric",
+        ),
+        pytest.param(lambda: gen_cyclic_basic((2, True, 3)), "block lengths", id="cyclic-basic"),
+        pytest.param(lambda: BlockDecomposition(True, (2, 3)), "eps1 must be 0 or 1", id="eps1"),
+    ],
+)
+def test_non_integer_blocks_raise_value_error(build, message):
+    # a bool counts as not an int
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestComputeLk:
@@ -107,6 +132,25 @@ class TestCyclicFamilies:
             gen_cyclic_basic((1, 1, 2, 3, 3))
         with pytest.raises(ValueError):
             gen_cyclic_basic((2, 2))  # trivial decomposition
+
+    def test_basic_matches_its_own_construction(self):
+        # at N = 2, 3 every class has adjacent ones
+        classes = [
+            c for N in range(2, 11) for c in cyclic_family(N) if not has_cyclic_adjacent_ones(c)
+        ]
+        assert len(classes) > 100
+        for lengths in classes:
+            assert gen_cyclic_basic(lengths) == cyclic_basic_oracle(lengths), lengths
+
+    @pytest.mark.parametrize(
+        "lengths", [(), (1,), (8,), (2, 2), (1, 1), (1, 1, 2, 3, 3), (0, 3), (1, 1, 2)]
+    )
+    def test_basic_rejects_as_its_own_construction(self, lengths):
+        with pytest.raises(ValueError) as expected:
+            cyclic_basic_oracle(lengths)
+        with pytest.raises(ValueError) as got:
+            gen_cyclic_basic(lengths)
+        assert str(got.value) == str(expected.value)
 
     def test_full_reduces_to_basic_without_ones(self):
         basic = gen_cyclic_basic((2, 1, 6, 1, 2))
@@ -533,3 +577,22 @@ def _agrees_with_row_oracle(lengths, x) -> bool:
         expected = expected + (row if i % 2 else -row)  # first row positive
     assert gen_altodd_odd(lengths, x).lhs == expected, (lengths, x)
     return False
+
+
+def cyclic_basic_oracle(lengths) -> Identity:
+    """The basic cyclic identity built on its own: the cyclic sum, minus
+    I_bl(N+2) at even weight N, equal to 0; the checks in the same order
+    and with the same messages."""
+    lengths = tuple(lengths)
+    if len(lengths) < 2:
+        raise ValueError("cyclic insertion on a single block is a tautology")
+    B = BlockDecomposition(0, lengths)
+    if B.is_trivial:
+        raise ValueError(f"(0; {lengths}) is trivial: weight and block count match mod 2")
+    if has_cyclic_adjacent_ones(lengths):
+        raise ValueError(f"{lengths} has cyclically adjacent (1,1); use the full version")
+    N = B.weight
+    lhs = cyclic_sum(lengths)
+    if N % 2 == 0:
+        lhs = lhs - LinComb.term(word_of(blocks(0, N + 2)), 1)
+    return Identity("cyclic-basic", {"lengths": lengths}, N, lhs, PiRational(Fraction(0)))

@@ -9,7 +9,7 @@ from blockzeta import cli
 from blockzeta.bigreal import BigReal, bits_for_digits
 from blockzeta.identities import (
     compute_Lk,
-    cyclic_head,
+    cyclic_sum,
     gen_bbbl,
     gen_composition_sums,
     gen_cyclic_full,
@@ -99,7 +99,10 @@ def _reference_cyclic_row(lengths, N):
     """
     lengths = tuple(lengths)
     index = _basis_index(N)
-    vec = vectorize(cyclic_head(lengths), N)
+    head = cyclic_sum(lengths)
+    if N % 2 == 0:  # I_bl(N+2) is trivial at odd N
+        head = head - LinComb.term(word_of(BlockDecomposition(0, (N + 2,))), 1)
+    vec = vectorize(head, N)
     for k in range(1, len(lengths) // 2 + 1):
         ms = compute_Lk(lengths, 2 * k)
         if not ms:
@@ -185,6 +188,12 @@ class TestBasis:
         with pytest.raises(ValueError, match="constant term in a weight-0"):
             vectorize(LinComb.term(ONE, 3), 0)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_bare_pi_power_is_the_unit_vector_at_zeta_2k(self, k):
+        expect = [Fraction(0)] * len(_basis_index(2 * k))
+        expect[_basis_index(2 * k)[zc(2 * k)]] = 1 / zeta_even_coeff(k).coeff
+        assert vectorize(LinComb.term(ONE, PiRational(1, 2 * k)), 2 * k) == expect
+
     def test_pi_power_is_a_zeta_multiple(self):
         # pi^4 = 90 zeta(4); pi^2 zeta(3) = 6 (zeta(2,3) + zeta(3,2) + zeta(5))
         vec = vectorize(LinComb.term(ONE, PiRational(1, 4)), 4)
@@ -218,6 +227,16 @@ class TestBasis:
 class TestRankOf:
     def test_empty(self):
         assert rank_of([]) == 0
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1], [1, 2]], [[1, 2], [1]], [[0], [1, 2]]],
+        ids=["short-first", "long-first", "zero-row"],
+    )
+    def test_ragged_rows_rejected(self, rows):
+        # checked before zero rows are dropped, so a short zero row counts too
+        with pytest.raises(ValueError, match="rows differ in length"):
+            rank_of(_frac_rows(rows))
 
     def test_duplicates_do_not_count(self):
         row = [Fraction(1), Fraction(2)]
@@ -301,7 +320,25 @@ class TestRankOf:
                 assert rank_of(rows) == _bareiss_rank(rows), N
 
 
+def _reference_duality_rows(N):
+    """The duality rows built by hand: +1 at zeta(w), -1 at zeta(dual w)."""
+    index = _basis_index(N)
+    rows = []
+    for w in convergent_words(N):
+        if w.dual() == w:
+            continue
+        vec = [Fraction(0)] * len(index)
+        vec[index[word_to_mzv(w)[0]]] += 1
+        vec[index[word_to_mzv(w.dual())[0]]] -= 1
+        rows.append(vec)
+    return rows
+
+
 class TestDuality:
+    @pytest.mark.parametrize("N", range(2, 12))
+    def test_rows_match_the_hand_built_rows(self, N):
+        assert duality_rows(N) == _reference_duality_rows(N)
+
     def test_counts_closed_form(self):
         for N in range(4, 13):
             rows = duality_rows(N)
