@@ -36,7 +36,15 @@ from .identities import (
 )
 from .linalg import rank_of
 from .lincomb import LinComb
-from .numerics import DEFAULT_DIGITS, verify
+from .numerics import (
+    DEFAULT_DIGITS,
+    SeriesMemo,
+    check_verify_input,
+    load_series,
+    series_keys,
+    verify,
+    walk_series,
+)
 from .rank import FAMILIES, basis_compositions, relation_rows, table_row
 from .reflect import reflective_closure
 from .regalgebra import regularise_word
@@ -174,6 +182,31 @@ def _verify_payload(ident: Identity, digits: int, max_den: int):
     return verify(ident, digits, max_den)
 
 
+def _verify_pooled(idents: list[Identity], digits: int, max_den: int, workers: int):
+    """Verify in pools of `workers` processes, walking the series once.
+
+    The batch's distinct series keys are sorted and split into `workers`
+    contiguous ranges, each walked once in the first pool.  The workers of
+    the second pool start from the merged memo, handed over by the pool
+    initializer, and evaluate the identities without a transform.
+    """
+    for ident in idents:
+        check_verify_input(ident, digits, max_den)
+    keys = sorted({k for ident in idents for k in series_keys(ident)})
+    step = -(-len(keys) // workers)
+    ranges = [keys[i : i + step] for i in range(0, len(keys), step)]
+    values = {}
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for walked in pool.map(walk_series, ranges, [digits] * len(ranges)):
+            values.update(walked.values)
+    memo = SeriesMemo(digits, values)
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=load_series, initargs=(memo,)
+    ) as pool:
+        n = len(idents)
+        return list(pool.map(_verify_payload, idents, [digits] * n, [max_den] * n))
+
+
 def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
@@ -188,15 +221,7 @@ def cmd_verify(args) -> int:
     # a fork pool starts all its workers at once: no more than can run
     workers = min(args.jobs, len(idents), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(
-                pool.map(
-                    _verify_payload,
-                    idents,
-                    [args.digits] * len(idents),
-                    [args.max_den] * len(idents),
-                )
-            )
+        reports = _verify_pooled(idents, args.digits, args.max_den, workers)
     else:
         reports = [verify(i, args.digits, args.max_den) for i in idents]
     worst = 0

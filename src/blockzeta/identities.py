@@ -290,6 +290,8 @@ def gen_hoffman(b1: int, b2: int, b3: int) -> Identity:
 
 def gen_general_hoffman(n: int, bs: tuple[int, ...], c: int) -> Identity:
     """Alternating cyclic family on zeta({3}^{2n} | b1..b_{2n}, c)."""
+    if not is_int(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     bs = tuple(bs)
     if len(bs) != 2 * n:
         raise ValueError(f"need 2n = {2 * n} b-parameters, got {len(bs)}")

@@ -45,9 +45,6 @@ class PiRational:
     def __neg__(self) -> "PiRational":
         return PiRational(-self.coeff, self.pi_exp)
 
-    def __sub__(self, other: "PiRational") -> "PiRational":
-        return self + (-other)
-
     def __mul__(self, other) -> "PiRational":
         if isinstance(other, PiRational):
             return PiRational(self.coeff * other.coeff, self.pi_exp + other.pi_exp)
@@ -116,9 +113,6 @@ class LinComb:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
@@ -147,8 +141,7 @@ class LinComb:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        raise TypeError("LinComb is mutable-equivalent; not hashable")
+    __hash__ = None
 
     def map_terms(self, fn: Callable[[TermKey], "LinComb"]) -> "LinComb":
         """Linear extension of a map term -> LinComb."""

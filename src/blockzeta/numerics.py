@@ -8,7 +8,14 @@ suffix factors are built incrementally, one series transform per letter,
 and every prefix is shared: a word's prefix chain is its interior, its
 suffix chain the flipped reversed interior, and the chains of the words
 of one combination are walked together in sorted order, so each distinct
-prefix is transformed once (see `_state_values`).
+prefix is transformed once per walk (see `_state_values`).
+
+A walk keeps the values of the prefixes but not their arrays, so each
+walk restarts from the root.  `verify --jobs K` therefore walks the
+whole batch once, before any identity is evaluated: `series_keys`
+collects the keys, `walk_series` walks one sorted range of them, and
+the merged `SeriesMemo` is loaded into every evaluating process by
+`load_series`.
 """
 
 from __future__ import annotations
@@ -85,6 +92,10 @@ def _keys(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return a, tuple(1 - x for x in reversed(a))
 
 
+def _memo(M: int, F: int) -> dict[tuple[int, ...], int]:
+    return _states.setdefault((M, F), {(): 1 << F})
+
+
 def _state_values(keys, M: int, F: int) -> dict[tuple[int, ...], int]:
     """The memo of g(p; 1/2) * 2^F at (M, F), holding every prefix of `keys`.
 
@@ -92,9 +103,11 @@ def _state_values(keys, M: int, F: int) -> dict[tuple[int, ...], int]:
     below a shared prefix are adjacent and the prefix is transformed
     once; only the arrays of the prefix shared with the next key are
     held, at most one per letter.  Every key starts with letter 1, where
-    the series starts at g('1'; z).
+    the series starts at g('1'; z).  The arrays are dropped when the call
+    returns, so each call restarts from the root: a prefix memoised by an
+    earlier call is transformed again when a new key lies below it.
     """
-    memo = _states.setdefault((M, F), {(): 1 << F})
+    memo = _memo(M, F)
     todo = sorted({k for k in keys if k not in memo})
     stack: list[list[int]] = []  # arrays of key[:1], key[:2], ...
     for key, nxt in zip(todo, todo[1:] + [()]):
@@ -111,6 +124,43 @@ def _state_values(keys, M: int, F: int) -> dict[tuple[int, ...], int]:
                 stack.append(C)
         del stack[shared:]
     return memo
+
+
+def _word_keys(comps) -> list[tuple[int, ...]]:
+    """Prefix and suffix keys of the words of the convergent compositions."""
+    return [k for s in comps if s.args and s.is_convergent for k in _keys(mzv_to_word(s)[0])]
+
+
+@dataclass
+class SeriesMemo:
+    """Values g(p; 1/2) * 2^F of series prefixes p at one precision."""
+
+    digits: int
+    values: dict[tuple[int, ...], int]
+
+
+def series_keys(identity) -> list[tuple[int, ...]]:
+    """The series keys `verify` walks for one identity.
+
+    The keys of every convergent composition of regularised lhs - rhs,
+    or of lhs and zeta(N) when the right-hand side is unknown.
+    """
+    if identity.rhs is not None:
+        return _word_keys(regularise(identity.difference()).keys())
+    comps = list(regularise(identity.lhs).keys())
+    if identity.weight >= 2:  # verify itself rejects a lower weight
+        comps.append(ZetaComposition((identity.weight,)))
+    return _word_keys(comps)
+
+
+def walk_series(keys, digits: int) -> SeriesMemo:
+    """Walk the prefixes of `keys` in this process; the memo at `digits`."""
+    return SeriesMemo(digits, _state_values(keys, *_orders(bits_for_digits(digits))))
+
+
+def load_series(memo: SeriesMemo) -> None:
+    """Add the values of a walked memo to this process's memo."""
+    _memo(*_orders(bits_for_digits(memo.digits))).update(memo.values)
 
 
 def eval_word(w: Word, digits: int = DEFAULT_DIGITS) -> BigReal:
@@ -180,12 +230,8 @@ def eval_lincomb(c: LinComb, digits: int = DEFAULT_DIGITS) -> BigReal:
     _check_digits(digits)
     flat = regularise(c)
     bits = bits_for_digits(digits)
-    missing = [
-        mzv_to_word(key)[0]
-        for key in flat.keys()
-        if key.args and key.is_convergent and _cache.get(key, digits) is None
-    ]
-    _state_values([k for w in missing for k in _keys(w)], *_orders(bits))
+    missing = [key for key in flat.keys() if _cache.get(key, digits) is None]
+    _state_values(_word_keys(missing), *_orders(bits))
     acc = BigReal.exact_zero(bits)
     for key, coeff in flat.items():
         term = eval_mzv(key, digits).mul_fraction(coeff.coeff)
@@ -220,12 +266,7 @@ def verify(identity, digits: int = DEFAULT_DIGITS, max_den: int = 10**6) -> Veri
     to max_den; one whose precision cannot certify that bound is
     inconclusive.
     """
-    _check_digits(digits)
-    if identity.weight > MAX_WEIGHT:
-        raise ValueError(
-            f"weight {identity.weight} beyond the configured ceiling {MAX_WEIGHT}"
-        )
-    _check_max_den(max_den)
+    check_verify_input(identity, digits, max_den)
     t0 = time.monotonic()
     threshold = Fraction(1, 10**digits)
     if identity.rhs is None:
@@ -259,6 +300,16 @@ def verify(identity, digits: int = DEFAULT_DIGITS, max_den: int = 10**6) -> Veri
     return VerificationReport(
         identity.describe(), status, residual, matched, digits, elapsed
     )
+
+
+def check_verify_input(identity, digits: int, max_den: int) -> None:
+    """The checks `verify` makes before it evaluates anything."""
+    _check_digits(digits)
+    if identity.weight > MAX_WEIGHT:
+        raise ValueError(
+            f"weight {identity.weight} beyond the configured ceiling {MAX_WEIGHT}"
+        )
+    _check_max_den(max_den)
 
 
 def _check_digits(digits: int) -> None:

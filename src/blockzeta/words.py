@@ -23,6 +23,9 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+_ZERO, _ONE = 0, 1
+
+
 @dataclass(frozen=True)
 class Word:
     """A binary word of length >= 2, integration bounds included."""
@@ -33,7 +36,10 @@ class Word:
         if len(self.letters) < 2:
             raise ValueError("a word needs at least the two bounds")
         for x in self.letters:
-            if x not in (0, 1):
+            # one test per letter, on a hot path: the interpreter shares its
+            # small ints, so the identity tests pass nearly every letter, and
+            # any other object takes the full test
+            if x is not _ZERO and x is not _ONE and (not is_int(x) or x not in (0, 1)):
                 raise ValueError(f"letters must be 0 or 1, got {x!r}")
 
     @classmethod
@@ -52,9 +58,6 @@ class Word:
 
     def __str__(self) -> str:
         return "".join(str(x) for x in self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     @property
     def weight(self) -> int:
@@ -214,8 +217,8 @@ class ZetaComposition:
 
     def __post_init__(self):
         for a in self.args:
-            if a < 1:
-                raise ValueError("zeta arguments must be positive integers")
+            if a.__class__ is not int and not is_int(a) or a < 1:
+                raise ValueError(f"zeta arguments must be positive integers, got {a!r}")
 
     @classmethod
     def parse(cls, text: str) -> "ZetaComposition":

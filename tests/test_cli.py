@@ -10,12 +10,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import blockzeta
-from blockzeta import cli, serial
+from blockzeta import cli, numerics, serial, series
 from blockzeta.cli import make_parser, run
 from blockzeta.identities import FAMILIES as IDENTITY_FAMILIES
 from blockzeta.identities import gen_cyclic_full, gen_hoffman, gen_symmetric
-from blockzeta.rank import FAMILIES
-from blockzeta.words import BlockDecomposition
+from blockzeta.rank import FAMILIES, cyclic_family
+from blockzeta.regalgebra import regularise
+from blockzeta.words import BlockDecomposition, mzv_to_word, zc
 
 
 def invoke(capsys, *argv):
@@ -35,6 +36,35 @@ RECORD = {"family": "cyclic-basic", "params": {}, "weight": 2, "lhs": [TERM], "r
 def record(**changes) -> str:
     """The record above with some keys replaced, as one JSON line."""
     return json.dumps({**RECORD, **changes})
+
+
+def serial_pool(sizes: list[int]):
+    """An in-process stand-in for the `verify --jobs` pool that records its sizes.
+
+    Like a fresh worker process, each pool starts with empty value caches.
+    """
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            sizes.append(max_workers)
+            numerics.reset_caches()
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return SerialPool
+
+
+def masked_reports(out: str) -> list[dict]:
+    return [{**json.loads(line), "elapsed_seconds": None} for line in out.splitlines()]
 
 
 class TestConversions:
@@ -152,32 +182,102 @@ class TestGenerateVerify:
         # a fork pool starts all of max_workers on its first submit
         sizes = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
         def verify_output(jobs):
             monkeypatch.setattr("sys.stdin", io.StringIO("\n".join([record()] * batch)))
             code, out, _ = invoke(
                 capsys, "verify", "--digits", "15", "--jobs", str(jobs), "--format", "json"
             )
             assert code == 0
-            reports = [json.loads(line) for line in out.splitlines()]
-            return [{**r, "elapsed_seconds": None} for r in reports]
+            return masked_reports(out)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool(sizes))
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert verify_output(jobs) == verify_output(1)
-        assert sizes == ([] if workers is None else [workers])
+        # one pool walks the series prefixes, the next evaluates
+        assert sizes == ([] if workers is None else [workers, workers])
+
+
+def _series_prefixes(idents) -> tuple[set, int]:
+    """The distinct series prefixes a batch needs, and its longest key.
+
+    Built from the definitions: the interior of each convergent word of
+    regularised lhs - rhs (lhs and zeta(N) for an unknown rhs), and its
+    flipped reverse.
+    """
+    comps = set()
+    for ident in idents:
+        comb = ident.lhs if ident.rhs is None else ident.difference()
+        comps |= set(regularise(comb).keys())
+        if ident.rhs is None:
+            comps.add(zc(ident.weight))
+    keys = set()
+    for s in comps:
+        if s.args and s.is_convergent:
+            a = mzv_to_word(s)[0].interior
+            keys |= {a, tuple(1 - x for x in reversed(a))}
+    prefixes = {k[:j] for k in keys for j in range(1, len(k) + 1)}
+    return prefixes, max(map(len, keys))
+
+
+class TestPooledVerify:
+    """`verify --jobs K` walks the batch's series prefixes once, then evaluates."""
+
+    BATCH = (
+        [gen_cyclic_full(c) for N in (4, 5, 6) for c in cyclic_family(N)]
+        + [gen_hoffman(0, 0, m) for m in range(3)]
+        + [gen_symmetric(BlockDecomposition(0, (2, 3, 3)))]
+    )
+
+    def _verify(self, capsys, monkeypatch, jobs):
+        stdin = "\n".join(serial.dumps(serial.identity_to_json(i)) for i in self.BATCH)
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        return invoke(capsys, "verify", "--digits", "60", "--jobs", str(jobs), "--format", "json")
+
+    def test_each_prefix_is_transformed_about_once(self, capsys, monkeypatch):
+        calls = []
+        for name in ("g_init", "g_append"):
+            original = getattr(series, name)
+            monkeypatch.setattr(
+                series, name, lambda *a, f=original: calls.append(1) or f(*a)
+            )
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool([]))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, _, _ = self._verify(capsys, monkeypatch, 2)
+        prefixes, longest = _series_prefixes(self.BATCH)
+        assert code == 0
+        assert 0 < len(calls) <= len(prefixes) + 2 * longest
+
+    def test_pool_reports_equal_serial_reports(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code2, out2, _ = self._verify(capsys, monkeypatch, 2)
+        code1, out1, _ = self._verify(capsys, monkeypatch, 1)
+        assert code1 == code2 == 0
+        reports = masked_reports(out1)
+        assert masked_reports(out2) == reports
+        assert {r["status"] for r in reports} == {"verified"}
+        assert reports[-1]["note"].startswith("lhs = (")  # the symmetric identity
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--digits", "5"], "need digits >= 10"),
+            (["--max-den", "0"], "max_den must be at least 1, got 0"),
+            ([], "weight 202 beyond the configured ceiling 200"),
+        ],
+    )
+    def test_input_is_checked_before_the_walk(self, capsys, monkeypatch, argv, message):
+        def not_yet(*_):
+            raise AssertionError("regularised before the input checks")
+
+        sizes = []
+        monkeypatch.setattr(numerics, "regularise", not_yet)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool(sizes))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        heavy = record(weight=202, lhs=[], rhs={"num": "1", "den": "1", "pi_exp": 202})
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join([record(), heavy])))
+        code, out, err = invoke(capsys, "verify", "--jobs", "2", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert sizes == []
 
 
 class TestKernelAndTable:

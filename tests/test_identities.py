@@ -60,6 +60,8 @@ class TestIdentity:
         pytest.param(gen_bbbl, (("x",),), id="bbbl-str"),
         pytest.param(gen_composition_sums, ("z1333-compsum", 0.5), id="compsum-float"),
         pytest.param(gen_general_hoffman, (1, (0.5, 0), 0), id="general-hoffman-float"),
+        pytest.param(gen_general_hoffman, (1.5, (0, 0, 0), 0), id="general-hoffman-n-float"),
+        pytest.param(gen_general_hoffman, (True, (0, 0), 0), id="general-hoffman-n-bool"),
         pytest.param(gen_thm_2_7_1, ("a",), id="thm-2-7-1-str"),
     ],
 )

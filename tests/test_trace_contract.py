@@ -17,18 +17,24 @@ SRC = Path(blockzeta.__file__).resolve().parent.parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 SCRIPT = """
-import io, json, sys
+import io, json, os, sys
 from contextlib import redirect_stdout
 sys.path[:0] = sys.argv[1:3]
 import layers
 layers.install_trace()
-from blockzeta import cli
+from blockzeta import cli, serial
+from blockzeta.identities import BlockDecomposition, gen_hoffman, gen_symmetric
+# the last verify reads these two records and runs in a pool on any host
+batch = [gen_hoffman(0, 0, 1), gen_symmetric(BlockDecomposition(0, (2, 3, 3)))]
+sys.stdin = io.StringIO("\\n".join(serial.dumps(serial.identity_to_json(i)) for i in batch))
+os.cpu_count = lambda: 2
 calls = [
     ["dkernel", "--lengths", "2,10,3,2", "--set", "cyclic", "--grade", "7", "--collapse"],
     ["table", "--weight", "5"],
     ["verify", "--family", "hoffman", "--b", "0,0,0", "--digits", "30"],
     ["verify", "--family", "symmetric", "--lengths", "2,3,3", "--digits", "30"],
     ["dkernel", "--lengths", "2,3,3", "--set", "closure"],
+    ["verify", "--jobs", "2", "--digits", "30", "--max-den", "1000"],
 ]
 with redirect_stdout(io.StringIO()):
     codes = [cli.run(argv) for argv in calls]
@@ -62,5 +68,5 @@ def test_traced_pass_binds_every_patched_name():
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0, 0]
     assert all(result["calls"].get(name, 0) > 0 for name in TRACED), result["calls"]

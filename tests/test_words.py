@@ -183,6 +183,31 @@ class TestTextFormats:
             ZetaComposition.parse("zeta(1)")
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: Word((0, True, 1)), "letters must be 0 or 1", id="word-bool"),
+        pytest.param(lambda: Word((0, 1.0, 1)), "letters must be 0 or 1", id="word-float"),
+        pytest.param(lambda: Word((0, [1], 1)), "letters must be 0 or 1", id="word-list"),
+        pytest.param(lambda: zc(2.5), "positive integers", id="zeta-float"),
+        pytest.param(lambda: zc(True, 2), "positive integers", id="zeta-bool"),
+        pytest.param(lambda: zc(1, 2.0), "positive integers", id="zeta-whole-float"),
+    ],
+)
+def test_non_integer_entries_raise_value_error(build, message):
+    # a bool counts as not an int
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_int_subclass_letters_and_arguments_are_accepted():
+    class Bit(int):
+        pass
+
+    assert Word((0, Bit(1), Bit(0), 1)).weight == 2
+    assert zc(Bit(1), Bit(2)).weight == 3
+
+
 class TestBlockCombinatorics:
     def test_distinct_orderings(self):
         assert list(distinct_orderings(())) == [()]
