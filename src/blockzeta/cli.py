@@ -182,18 +182,23 @@ def _verify_payload(ident: Identity, digits: int, max_den: int):
     return verify(ident, digits, max_den)
 
 
-def _verify_pooled(idents: list[Identity], digits: int, max_den: int, workers: int):
-    """Verify in pools of `workers` processes, walking the series once.
+def _verify_batch(idents: list[Identity], digits: int, max_den: int, workers: int):
+    """Check every identity, walk the batch's series once, then evaluate.
 
-    The batch's distinct series keys are sorted and split into `workers`
-    contiguous ranges, each walked once in the first pool.  The workers of
-    the second pool start from the merged memo, handed over by the pool
-    initializer, and evaluate the identities without a transform.
+    The batch's distinct series keys are sorted and walked before any
+    identity is evaluated, in this process for one worker.  For more, the
+    keys are split into `workers` contiguous ranges, each walked once in
+    the first pool; the workers of the second pool start from the merged
+    memo, handed over by the pool initializer, and evaluate the identities
+    without a transform.
     """
     for ident in idents:
         check_verify_input(ident, digits, max_den)
-    keys = sorted({k for ident in idents for k in series_keys(ident)})
-    step = -(-len(keys) // workers)
+    keys = series_keys(idents)
+    if workers <= 1:  # no identities at all, or one worker
+        walk_series(keys, digits)
+        return [verify(ident, digits, max_den) for ident in idents]
+    step = -(-len(keys) // workers) or 1  # a batch may have no keys
     ranges = [keys[i : i + step] for i in range(0, len(keys), step)]
     values = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -220,10 +225,7 @@ def cmd_verify(args) -> int:
             raise ValueError("a stdin record is nested too deeply") from None
     # a fork pool starts all its workers at once: no more than can run
     workers = min(args.jobs, len(idents), os.cpu_count() or 1)
-    if workers > 1:
-        reports = _verify_pooled(idents, args.digits, args.max_den, workers)
-    else:
-        reports = [verify(i, args.digits, args.max_den) for i in idents]
+    reports = _verify_batch(idents, args.digits, args.max_den, workers)
     worst = 0
     for rep in reports:
         if args.format == "json":

@@ -10,12 +10,18 @@ suffix chain the flipped reversed interior, and the chains of the words
 of one combination are walked together in sorted order, so each distinct
 prefix is transformed once per walk (see `_state_values`).
 
+Combinations are evaluated from the integer sums of `regularise_sums`:
+a term with numerator Q over the common denominator D scales a value's
+mantissa and error by Q and floor-divides by D, which gives the same
+bits as scaling by the reduced fraction Q/D.
+
 A walk keeps the values of the prefixes but not their arrays, so each
-walk restarts from the root.  `verify --jobs K` therefore walks the
-whole batch once, before any identity is evaluated: `series_keys`
-collects the keys, `walk_series` walks one sorted range of them, and
-the merged `SeriesMemo` is loaded into every evaluating process by
-`load_series`.
+walk restarts from the root.  `verify` therefore walks the whole batch
+once, before any identity is evaluated: `series_keys` collects the
+batch's keys and `walk_series` walks one sorted range of them, in this
+process at `--jobs 1`; at `--jobs K` each range is walked in a pool
+worker, and the merged `SeriesMemo` is loaded into every evaluating
+process by `load_series`.
 """
 
 from __future__ import annotations
@@ -27,7 +33,10 @@ from fractions import Fraction
 from . import series
 from .bigreal import BigReal, bits_for_digits, pi_power
 from .lincomb import LinComb
-from .regalgebra import regularise
+# bound but not called: perfbench/layers.py wraps `regularise` under this
+# name and fails a traced run when numerics stops binding it
+from .regalgebra import regularise  # noqa: F401
+from .regalgebra import regularise_sums
 from .words import Word, ZetaComposition, mzv_to_word
 
 DEFAULT_DIGITS = 50
@@ -139,18 +148,19 @@ class SeriesMemo:
     values: dict[tuple[int, ...], int]
 
 
-def series_keys(identity) -> list[tuple[int, ...]]:
-    """The series keys `verify` walks for one identity.
+def series_keys(idents) -> list[tuple[int, ...]]:
+    """The sorted distinct series keys `verify` walks for a batch.
 
-    The keys of every convergent composition of regularised lhs - rhs,
-    or of lhs and zeta(N) when the right-hand side is unknown.
+    The keys of every convergent composition of each regularised lhs, and
+    of zeta(N) when the right-hand side is unknown; a known right-hand
+    side is a multiple of the constant 1, which has no keys.
     """
-    if identity.rhs is not None:
-        return _word_keys(regularise(identity.difference()).keys())
-    comps = list(regularise(identity.lhs).keys())
-    if identity.weight >= 2:  # verify itself rejects a lower weight
-        comps.append(ZetaComposition((identity.weight,)))
-    return _word_keys(comps)
+    comps = set()
+    for identity in idents:
+        comps.update(s for s, _ in regularise_sums(identity.lhs)[1])
+        if identity.rhs is None and identity.weight >= 2:  # verify rejects a lower weight
+            comps.add(ZetaComposition((identity.weight,)))
+    return sorted(set(_word_keys(comps)))
 
 
 def walk_series(keys, digits: int) -> SeriesMemo:
@@ -226,19 +236,25 @@ def eval_lincomb(c: LinComb, digits: int = DEFAULT_DIGITS) -> BigReal:
     Word keys are regularised first; the empty composition is the
     constant 1; pi powers come from the verified pi engine.  The series
     prefixes of every composition not yet cached are walked in one call.
+    Each term is value * Q // D, the same bits as `BigReal.mul_fraction`
+    of the reduced coefficient Q/D.
     """
     _check_digits(digits)
-    flat = regularise(c)
+    D, sums = regularise_sums(c)
     bits = bits_for_digits(digits)
-    missing = [key for key in flat.keys() if _cache.get(key, digits) is None]
+    missing = [s for s, _ in sums if _cache.get(s, digits) is None]
     _state_values(_word_keys(missing), *_orders(bits))
-    acc = BigReal.exact_zero(bits)
-    for key, coeff in flat.items():
-        term = eval_mzv(key, digits).mul_fraction(coeff.coeff)
-        if coeff.pi_exp:
-            term = term * pi_power(coeff.pi_exp, bits)
-        acc = acc + term
-    return acc
+    man = err = 0
+    for (s, pi_exp), q in sums.items():
+        value = eval_mzv(s, digits)
+        term_man = (value.man * q) // D
+        term_err = (value.err * abs(q)) // D + 2
+        if pi_exp:
+            term = BigReal(term_man, bits, term_err) * pi_power(pi_exp, bits)
+            term_man, term_err = term.man, term.err
+        man += term_man
+        err += term_err
+    return BigReal(man, bits, err)
 
 
 @dataclass

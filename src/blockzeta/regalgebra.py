@@ -4,7 +4,9 @@ regularise() implements the five-step procedure: normalise the bounds by
 path reversal, kill equal-bound words, expand leading zeros with the
 divergence relation, dualise to fix the right end, expand again, then
 read off MZV compositions.  It runs on integer coefficient maps memoised
-per word, and converts to PiRational only for its output.  The recursion
+per word; regularise_sums adds them up in integers over a common
+denominator, and regularise converts to PiRational only for its output,
+while numerics evaluates the integer sums directly.  The recursion
 terminates because each divergence expansion yields words with a 1 next
 to the lower bound, and at most one duality step re-exposes leading zeros.
 """
@@ -12,7 +14,7 @@ to the lower bound, and at most one duality step re-exposes leading zeros.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .lincomb import LinComb, PiRational, combine
 from .words import ONE, Word, ZetaComposition, word_to_mzv
@@ -86,13 +88,17 @@ def regularise_word(w: Word) -> LinComb:
     return LinComb(_regularise_word(w))
 
 
-def regularise(c: LinComb) -> LinComb:
-    """Linear extension of regularise_word; composition keys pass through.
+def regularise_sums(c: LinComb) -> tuple[int, dict[tuple[ZetaComposition, int], int]]:
+    """regularise(c) over a common denominator, in integers.
 
-    Coefficients are summed per (composition, pi exponent); combine
-    rejects a composition left with two pi exponents.
+    Returns D, the lcm of the denominators of c's coefficients, and the
+    exact integer numerators Q over D of the nonzero sums, keyed by
+    (composition, pi exponent) in order of first appearance.  Raises
+    combine's ValueError when a composition is left with two pi exponents.
     """
-    sums: dict[tuple[ZetaComposition, int], Fraction] = {}
+    D = lcm(*(coeff.coeff.denominator for _, coeff in c.items()))
+    sums: dict[tuple[ZetaComposition, int], int] = {}
+    get = sums.get
     for key, coeff in c.items():
         if isinstance(key, Word):
             expansion = _regularise_word(key).items()
@@ -100,10 +106,30 @@ def regularise(c: LinComb) -> LinComb:
             expansion = ((key, 1),)
         else:
             raise TypeError(f"cannot regularise term of type {type(key).__name__}")
+        q, pi_exp = coeff.coeff, coeff.pi_exp
+        m = q.numerator * (D // q.denominator)
         for comp, n in expansion:
-            slot = (comp, coeff.pi_exp)
-            sums[slot] = sums.get(slot, 0) + coeff.coeff * n
-    return combine((comp, PiRational(q, pi_exp)) for (comp, pi_exp), q in sums.items())
+            slot = (comp, pi_exp)
+            sums[slot] = get(slot, 0) + m * n
+    sums = {slot: q for slot, q in sums.items() if q}
+    pi_exps: dict[ZetaComposition, int] = {}
+    for comp, pi_exp in sums:
+        first = pi_exps.setdefault(comp, pi_exp)
+        if first != pi_exp:
+            raise ValueError(f"cannot add pi^{first} and pi^{pi_exp} coefficients")
+    return D, sums
+
+
+def regularise(c: LinComb) -> LinComb:
+    """Linear extension of regularise_word; composition keys pass through.
+
+    Coefficients are summed per (composition, pi exponent) by
+    regularise_sums, which rejects a composition left with two pi exponents.
+    """
+    D, sums = regularise_sums(c)
+    return combine(
+        (comp, PiRational(Fraction(q, D), pi_exp)) for (comp, pi_exp), q in sums.items()
+    )
 
 
 def shuffle_interiors(u: tuple[int, ...], v: tuple[int, ...]) -> dict[tuple[int, ...], int]:

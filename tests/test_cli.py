@@ -233,7 +233,8 @@ class TestPooledVerify:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         return invoke(capsys, "verify", "--digits", "60", "--jobs", str(jobs), "--format", "json")
 
-    def test_each_prefix_is_transformed_about_once(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_prefix_is_transformed_about_once(self, capsys, monkeypatch, jobs):
         calls = []
         for name in ("g_init", "g_append"):
             original = getattr(series, name)
@@ -242,7 +243,8 @@ class TestPooledVerify:
             )
         monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool([]))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        code, _, _ = self._verify(capsys, monkeypatch, 2)
+        numerics.reset_caches()  # at --jobs 1 the walk runs in this process
+        code, _, _ = self._verify(capsys, monkeypatch, jobs)
         prefixes, longest = _series_prefixes(self.BATCH)
         assert code == 0
         assert 0 < len(calls) <= len(prefixes) + 2 * longest
@@ -257,6 +259,19 @@ class TestPooledVerify:
         assert {r["status"] for r in reports} == {"verified"}
         assert reports[-1]["note"].startswith("lhs = (")  # the symmetric identity
 
+    def test_a_batch_without_series_keys(self, capsys, monkeypatch):
+        # lhs 0 = rhs 0 twice: nothing to walk, two verified reports
+        sizes = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool(sizes))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        empty = record(lhs=[], rhs={"num": "0", "den": "1", "pi_exp": 0})
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join([empty, empty])))
+        code, out, err = invoke(capsys, "verify", "--jobs", "2", "--format", "json")
+        assert (code, err) == (0, "")
+        assert [r["status"] for r in masked_reports(out)] == ["verified", "verified"]
+        assert sizes == [2, 2]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -265,19 +280,32 @@ class TestPooledVerify:
             ([], "weight 202 beyond the configured ceiling 200"),
         ],
     )
-    def test_input_is_checked_before_the_walk(self, capsys, monkeypatch, argv, message):
+    def test_input_is_checked_before_the_walk(self, capsys, monkeypatch, argv, message, jobs):
         def not_yet(*_):
             raise AssertionError("regularised before the input checks")
 
         sizes = []
-        monkeypatch.setattr(numerics, "regularise", not_yet)
+        monkeypatch.setattr(numerics, "regularise_sums", not_yet)
         monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool(sizes))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         heavy = record(weight=202, lhs=[], rhs={"num": "1", "den": "1", "pi_exp": 202})
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join([record(), heavy])))
-        code, out, err = invoke(capsys, "verify", "--jobs", "2", *argv)
+        code, out, err = invoke(capsys, "verify", "--jobs", jobs, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert sizes == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_term_that_would_meet_another_pi_power_exits_2(self, capsys, monkeypatch, jobs):
+        # I(0101) = -zeta(2): with pi^2 it would meet z(2) under two pi
+        # exponents, but a record is weight-homogeneous before it is regularised
+        word_term = {**TERM, "term_kind": "word", "term": "0101", "pi_exp": 2}
+        mixed = record(weight=4, lhs=[word_term, TERM], rhs={"num": "0", "den": "1", "pi_exp": 0})
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool([]))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join([record(), mixed])))
+        code, out, err = invoke(capsys, "verify", "--jobs", jobs)
+        message = "inhomogeneous term z(2) (weight 2) in a weight-4 identity"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestKernelAndTable:
@@ -400,16 +428,21 @@ class TestKernelAndTable:
         assert code == 0 and "\\doteq" in out
 
 
-def _run_quietly(argv, stdin: str = "") -> tuple[int, str]:
-    """Exit code and stdout of `run(argv)` fed `stdin`; stderr is discarded."""
+def _run_captured(argv, stdin: str = "") -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `run(argv)` fed `stdin`."""
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            return run(list(argv)), out.getvalue()
+        with redirect_stdout(out), redirect_stderr(err):
+            return run(list(argv)), out.getvalue(), err.getvalue()
     finally:
         sys.stdin = saved
+
+
+def _run_quietly(argv, stdin: str = "") -> tuple[int, str]:
+    """Exit code and stdout of `run(argv)` fed `stdin`; stderr is discarded."""
+    return _run_captured(argv, stdin)[:2]
 
 
 def _verify_exit_code(line: str) -> int:
@@ -444,6 +477,23 @@ class TestVerifyInputFuzz:
     @given(near(RECORD))
     def test_arbitrary_json_exits_0_1_or_2(self, value):
         assert _verify_exit_code(json.dumps(value)) in (0, 1, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(near(RECORD))
+    def test_jobs_1_and_2_agree(self, value):
+        # behind a well-formed record, so a well-formed draw makes a batch of
+        # two and --jobs 2 runs both pools (in this process)
+        stdin = "\n".join([record(), json.dumps(value)])
+        outputs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "ProcessPoolExecutor", serial_pool([]))
+            mp.setattr(os, "cpu_count", lambda: 2)
+            for jobs in ("1", "2"):
+                argv = ["verify", "--digits", "15", "--jobs", jobs, "--format", "json"]
+                code, out, err = _run_captured(argv, stdin)
+                outputs.append((code, masked_reports(out), err))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] in (0, 1, 2)
 
 
 #: Family-list tokens for the argv fuzz: the valid names and near misses.

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blockzeta.bigreal import BigReal, bits_for_digits, pi_bigreal, pi_power
 from blockzeta.identities import Identity, gen_symmetric
-from blockzeta.lincomb import LinComb, PiRational
+from blockzeta.lincomb import LinComb, PiRational, combine
 from blockzeta.numerics import (
     eval_lincomb,
     eval_mzv,
@@ -16,8 +16,15 @@ from blockzeta.numerics import (
     verify,
     zeta_value,
 )
-from blockzeta.regalgebra import regularise, shuffle_words, stuffle_depth1, zeta_two_power
+from blockzeta.regalgebra import (
+    regularise,
+    regularise_word,
+    shuffle_words,
+    stuffle_depth1,
+    zeta_two_power,
+)
 from blockzeta.words import (
+    ONE,
     Word,
     ZetaComposition,
     blocks,
@@ -380,11 +387,30 @@ def oracle_eval_word(w, digits):
 
 
 def oracle_eval_lincomb(c, digits):
-    acc = BigReal.exact_zero(bits_for_digits(digits))
-    for comp, coeff in regularise(c).items():
-        w, sign = mzv_to_word(comp)
-        val = oracle_eval_word(w, digits)
-        acc = acc + (val if sign > 0 else -val).mul_fraction(coeff.coeff)
+    """eval_lincomb by the Fraction route: regularise_word per word, the
+    coefficients summed per (composition, pi exponent) in Fractions and
+    combined into PiRationals, then mul_fraction per composition and the
+    pi power after it.  Values come from oracle_eval_word."""
+    bits = bits_for_digits(digits)
+    sums = {}
+    for key, coeff in c.items():
+        regularised = regularise_word(key) if isinstance(key, Word) else LinComb.term(key)
+        for comp, n in regularised.items():
+            slot = (comp, coeff.pi_exp)
+            sums[slot] = sums.get(slot, 0) + coeff.coeff * n.coeff
+    flat = combine((comp, PiRational(q, pi_exp)) for (comp, pi_exp), q in sums.items())
+    acc = BigReal.exact_zero(bits)
+    for comp, coeff in flat.items():
+        if comp.args:
+            w, sign = mzv_to_word(comp)
+            value = oracle_eval_word(w, digits)
+            value = value if sign > 0 else -value
+        else:
+            value = BigReal.from_int(1, bits)
+        term = value.mul_fraction(coeff.coeff)
+        if coeff.pi_exp:
+            term = term * pi_power(coeff.pi_exp, bits)
+        acc = acc + term
     return acc
 
 
@@ -483,3 +509,71 @@ class TestSharedPrefixes:
         }[evaluate]
         with pytest.raises(ValueError, match="need digits >= 10|beyond the configured ceiling"):
             evaluate(arg, digits)
+
+
+# --------------------------------------------------------------------------
+# the integer-sum evaluation against the Fraction route
+
+
+@st.composite
+def weight_n_combinations(draw):
+    """Combinations of weight N: words of every kind (divergent and
+    equal-bound ones included), convergent zeta values and the constant 1,
+    each times pi^(N - its weight), with coefficients over mixed
+    denominators."""
+    N = draw(st.integers(0, 6))
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        pi_exp = draw(st.sampled_from(range(0, N + 1, 2)))
+        mid = draw(st.lists(st.integers(0, 1), min_size=N - pi_exp, max_size=N - pi_exp))
+        key = Word((draw(st.integers(0, 1)), *mid, draw(st.integers(0, 1))))
+        if key.is_convergent and draw(st.booleans()):
+            key = word_to_mzv(key)[0]  # a zeta value; the constant 1 when N == pi_exp
+        coeff = Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from([1, 2, 3, 4, 6, 35])))
+        terms[key] = PiRational(coeff, pi_exp)
+    return LinComb(terms)
+
+
+class TestIntegerSums:
+    @settings(max_examples=150, deadline=None)
+    @given(c=weight_n_combinations(), digits=st.sampled_from([10, 23, 50]))
+    @example(
+        c=LinComb(
+            {
+                word("0010111"): PiRational(Fraction(3, 4)),
+                word("1101000"): PiRational(Fraction(-7, 6)),
+                zc(2, 3): PiRational(Fraction(5, 2)),
+                word("000111"): PiRational(Fraction(1, 35), 2),
+                zc(3): PiRational(Fraction(-2, 9), 2),
+                ONE: PiRational(Fraction(1, 5), 6),
+            }
+        ),
+        digits=30,
+    )
+    def test_matches_fraction_route(self, c, digits):
+        """man, bits and err all equal the Fraction route's."""
+        got = eval_lincomb(c, digits)
+        expected = oracle_eval_lincomb(c, digits)
+        assert (got.man, got.bits, got.err) == (expected.man, expected.bits, expected.err)
+
+    def test_two_pi_exponents_on_one_composition(self):
+        # regularise_word(0101) = -zeta(2): pi^2 zeta(2) and zeta(2) meet
+        c = LinComb({word("0101"): PiRational(Fraction(1), 2), zc(2): PiRational(Fraction(1))})
+        messages = set()
+        for evaluate in (eval_lincomb, oracle_eval_lincomb):
+            with pytest.raises(ValueError) as info:
+                evaluate(c, 20)
+            messages.add(str(info.value))
+        assert messages == {"cannot add pi^2 and pi^0 coefficients"}
+
+    def test_a_cancelled_pi_exponent_is_no_conflict(self):
+        # pi^2 zeta(2) cancels, so only the pi^0 term is left
+        c = LinComb(
+            {
+                word("0101"): PiRational(Fraction(1), 2),
+                zc(2): PiRational(Fraction(1, 3)),
+                word("1010"): PiRational(Fraction(-1), 2),  # I(1010) = I(0101)
+            }
+        )
+        assert eval_lincomb(c, 20) == oracle_eval_lincomb(c, 20)
+        assert regularise(c) == LinComb.term(zc(2), Fraction(1, 3))

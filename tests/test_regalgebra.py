@@ -10,6 +10,7 @@ from blockzeta.regalgebra import (
     _expand_leading,
     bernoulli,
     regularise,
+    regularise_sums,
     regularise_word,
     shuffle_interiors,
     shuffle_words,
@@ -264,6 +265,12 @@ class TestRegularise:
         assert out == _reference_regularise(comb)
         assert zc(2, 3) not in out.keys()
         assert out.get(zc(3)) == PiRational(Fraction(-2, 9), 2)
+        # the integer sums behind it: one common denominator, same key order
+        D, sums = regularise_sums(comb)
+        assert D == 180
+        assert [(comp, PiRational(Fraction(q, D), e)) for (comp, e), q in sums.items()] == list(
+            out.items()
+        )
 
     def test_two_pi_exponents_on_one_key(self):
         # regularise_word(0101) = -zeta(2)
