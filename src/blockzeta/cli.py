@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification refuted, 2 usage or parse error.
+Exit codes: 0 success, 1 verification refuted, 2 usage or parse error,
+141 stdout closed by its reader (the status a shell gives for SIGPIPE).
 Subcommands communicate through JSON on stdout/stdin so that generation
 and verification pipelines compose.
 """
@@ -409,7 +410,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone, which refutes nothing; stdout goes to devnull
+        # so that the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -3,12 +3,15 @@
 regularise() implements the five-step procedure: normalise the bounds by
 path reversal, kill equal-bound words, expand leading zeros with the
 divergence relation, dualise to fix the right end, expand again, then
-read off MZV compositions.  It runs on integer coefficient maps memoised
-per word; regularise_sums adds them up in integers over a common
-denominator, and regularise converts to PiRational only for its output,
-while numerics evaluates the integer sums directly.  The recursion
-terminates because each divergence expansion yields words with a 1 next
-to the lower bound, and at most one duality step re-exposes leading zeros.
+read off MZV compositions.  It runs on letter tuples and integer
+coefficient maps, memoised per tuple, and reads compositions straight off
+interiors: a Word is met only at the public boundary (regularise_word and
+the word keys of a combination).  regularise_sums adds the maps up in
+integers over a common denominator, and regularise converts to PiRational
+only for its output, while numerics evaluates the integer sums directly.
+The recursion terminates because each divergence expansion yields words
+with a 1 next to the lower bound, and at most one duality step re-exposes
+leading zeros.
 """
 
 from __future__ import annotations
@@ -17,65 +20,68 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .lincomb import LinComb, PiRational, combine
-from .words import ONE, Word, ZetaComposition, word_to_mzv
+from .words import ONE, Word, ZetaComposition, interior_to_mzv
 
 
-#: word -> {composition: integer coefficient}; shared, so read it only.
-_REG_CACHE: dict[Word, dict[ZetaComposition, int]] = {}
+#: letters -> {composition: integer coefficient}; shared, so read it only.
+_REG_CACHE: dict[tuple[int, ...], dict[ZetaComposition, int]] = {}
 
 
-def _expand_leading(w: Word) -> dict[Word, int]:
+def _expand_leading(interior: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Divergence expansion of a weight >= 1 word with bounds (0, 1).
 
-    For the interior 0^k 1 v the divergence relation is the shuffle
-    identity reg I(0; 0^k 1 v; 1) = (-1)^k sum I(0; 1 s; 1) over the
-    shuffles s of 0^k with v.  At k = 0 the word is its own expansion; an
-    all-zero interior is a shuffle-power of I(0;0;1), regularised to 0.
+    Takes and returns interiors.  For the interior 0^k 1 v the divergence
+    relation is the shuffle identity reg I(0; 0^k 1 v; 1) = (-1)^k sum
+    I(0; 1 s; 1) over the shuffles s of 0^k with v.  At k = 0 the
+    interior is its own expansion; an all-zero interior is a
+    shuffle-power of I(0;0;1), regularised to 0.
     """
-    interior = w.interior
     if 1 not in interior:
         return {}
     k = interior.index(1)
     sign = -1 if k % 2 else 1
     return {
-        Word((0, 1) + s + (1,)): sign * mult
+        (1,) + s: sign * mult
         for s, mult in shuffle_interiors((0,) * k, interior[k + 1:]).items()
     }
 
 
-def _regularise_word(w: Word) -> dict[ZetaComposition, int]:
-    """Regularised I(w) as an integer map, memoised in _REG_CACHE.
+def _regularise_word(letters: tuple[int, ...]) -> dict[ZetaComposition, int]:
+    """Regularised I(letters) as an integer map, memoised in _REG_CACHE.
 
     For bounds (0, 1) the five-step procedure factors as follows.  A word
     u with a 1 after its lower bound is its own divergence expansion, so
     reg(u) dualises u, expands again and reads off compositions; a
     left-divergent word is the sum of c_u reg(u) over its expansion, and
-    each reg(u) is cached under u.
+    each reg(u) is cached under u's letters.
     """
-    cached = _REG_CACHE.get(w)
+    cached = _REG_CACHE.get(letters)
     if cached is not None:
         return cached
-    letters = w.letters
-    sign = -1 if w.weight % 2 else 1
-    if w.weight == 0:
+    weight = len(letters) - 2
+    sign = -1 if weight % 2 else 1
+    if weight == 0:
         result = {ONE: 1}  # the unit integral
     elif letters[0] == letters[-1]:
         result = {}
     elif letters[0] == 1:
         # reversal of paths onto bounds (0, 1)
-        result = {comp: sign * n for comp, n in _regularise_word(w.reversed()).items()}
+        result = {comp: sign * n for comp, n in _regularise_word(letters[::-1]).items()}
     elif letters[1] == 1:
+        # the dual word keeps the bounds (0, 1); its interior is the
+        # flipped reverse of this one
+        dual = tuple(1 - x for x in reversed(letters[1:-1]))
         result = {}
-        for v, n in _expand_leading(w.dual()).items():
-            comp, mzv_sign = word_to_mzv(v)
+        for v, n in _expand_leading(dual).items():
+            comp, mzv_sign = interior_to_mzv(v)
             result[comp] = sign * mzv_sign * n
     else:
         acc: dict[ZetaComposition, int] = {}
-        for u, c_u in _expand_leading(w).items():
-            for comp, n in _regularise_word(u).items():
+        for u, c_u in _expand_leading(letters[1:-1]).items():
+            for comp, n in _regularise_word((0,) + u + (1,)).items():
                 acc[comp] = acc.get(comp, 0) + c_u * n
         result = {comp: n for comp, n in acc.items() if n}
-    _REG_CACHE[w] = result
+    _REG_CACHE[letters] = result
     return result
 
 
@@ -85,7 +91,7 @@ def regularise_word(w: Word) -> LinComb:
     Normalises the bounds, expands leading zeros with the divergence
     relation, dualises, expands again and reads off MZVs.
     """
-    return LinComb(_regularise_word(w))
+    return LinComb(_regularise_word(w.letters))
 
 
 def regularise_sums(c: LinComb) -> tuple[int, dict[tuple[ZetaComposition, int], int]]:
@@ -101,7 +107,7 @@ def regularise_sums(c: LinComb) -> tuple[int, dict[tuple[ZetaComposition, int], 
     get = sums.get
     for key, coeff in c.items():
         if isinstance(key, Word):
-            expansion = _regularise_word(key).items()
+            expansion = _regularise_word(key.letters).items()
         elif isinstance(key, ZetaComposition):
             expansion = ((key, 1),)
         else:

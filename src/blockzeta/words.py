@@ -213,12 +213,26 @@ def word_of(B: BlockDecomposition) -> Word:
 class ZetaComposition:
     """Argument tuple of a multiple zeta value; convergent iff last >= 2."""
 
+    # slots rather than an instance dict: a regularisation cache holds tens
+    # of thousands of compositions, and the hash below is a second attribute
+    __slots__ = ("args", "_hash")
     args: tuple[int, ...]
 
     def __post_init__(self):
         for a in self.args:
             if a.__class__ is not int and not is_int(a) or a < 1:
                 raise ValueError(f"zeta arguments must be positive integers, got {a!r}")
+        # the value the dataclass hash computes on every call, computed once:
+        # compositions key the regularisation maps and the sums over them
+        object.__setattr__(self, "_hash", hash((self.args,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor: the frozen __setattr__ refuses the
+        # slot-by-slot restore that pickle and deepcopy would otherwise do
+        return type(self), (self.args,)
 
     @classmethod
     def parse(cls, text: str) -> "ZetaComposition":
@@ -279,9 +293,22 @@ def word_to_mzv(w: Word) -> tuple[ZetaComposition, int]:
     """Inverse of mzv_to_word; rejects words that are not convergent."""
     if not w.is_convergent:
         raise ValueError(f"word {w} is not convergent; regularise it first")
+    return interior_to_mzv(w.interior)
+
+
+def interior_to_mzv(interior: tuple[int, ...]) -> tuple[ZetaComposition, int]:
+    """Composition and sign (-1)^depth of the word 0 interior 1.
+
+    That word is convergent when its interior is empty, or starts with 1
+    and ends with 0; any other interior is rejected.
+    """
+    if interior and (interior[0] != 1 or interior[-1] != 0):
+        raise ValueError(
+            f"interior {''.join(map(str, interior))} is not that of a convergent word"
+        )
     args = []
     count = 0
-    for x in w.interior:
+    for x in interior:
         if x == 1:
             if count:
                 args.append(count)

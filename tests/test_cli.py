@@ -589,7 +589,7 @@ def _module_run(*argv, **options):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", *argv],
-        capture_output=True, text=True, env=env, **{"timeout": 120, **options},
+        text=True, env=env, **{"capture_output": True, "timeout": 120, **options},
     )
 
 
@@ -610,6 +610,22 @@ class TestModuleEntry:
     def test_python_m_blockzeta_cli(self):
         proc = _module_run("blockzeta.cli", "table", "--weight", "4")
         assert (proc.returncode, proc.stdout) == (0, self.ROW4)
+
+    def test_closed_stdout_is_not_a_refutation(self):
+        # the reader of stdout is gone before the first report is written
+        line = serial.dumps(serial.identity_to_json(gen_hoffman(0, 0, 0)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _module_run(
+                "blockzeta", "verify", "--digits", "20",
+                input="\n".join([line] * 6), capture_output=False,
+                stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_python_m_usage_error(self):
         proc = _module_run("blockzeta", "rank", "--weight", "0")

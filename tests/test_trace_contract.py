@@ -6,10 +6,13 @@ pass over small calls of the traced layers, so a refactor that unbinds a
 patched name fails here too, not only in a traced benchmark run.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import blockzeta
 
@@ -70,3 +73,29 @@ def test_traced_pass_binds_every_patched_name():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0, 0, 0]
     assert all(result["calls"].get(name, 0) > 0 for name in TRACED), result["calls"]
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _workloads()
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS.WORKLOADS))
+def test_traced_setup_runs(name):
+    # a benchmark run starts with set-ups like this one and stops at the
+    # first that fails, traced or not
+    seeds = json.dumps(WORKLOADS.DEFAULT_SEEDS)
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "setup", name, seeds, "--trace"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    job = json.loads(proc.stdout.splitlines()[-1])
+    assert job["calls"] and job["kernel"] == blockzeta.series.KERNEL
+    # the cache gauges read every cache the tracer sizes, _REG_CACHE among them
+    assert "regalgebra.regularise_word.distinct" in job["trace"]["gauges"], job["trace"]

@@ -1,8 +1,15 @@
+import copy
+import dataclasses
 import itertools
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from blockzeta import serial
+from blockzeta.lincomb import LinComb
+from blockzeta.regalgebra import stuffle_depth1
 from blockzeta.words import (
     MAX_ORDERINGS,
     BlockDecomposition,
@@ -13,6 +20,7 @@ from blockzeta.words import (
     blocks,
     convergent_words,
     distinct_orderings,
+    interior_to_mzv,
     mzv_to_word,
     word,
     word_of,
@@ -157,6 +165,64 @@ class TestMzvWords:
     def test_reject_divergent_word(self):
         with pytest.raises(ValueError):
             word_to_mzv(word("0011"))
+
+    def test_interior_read_off(self):
+        for N in range(0, 9):
+            for w in convergent_words(N):
+                assert interior_to_mzv(w.interior) == word_to_mzv(w)
+        for interior in ((1,), (0, 1, 0), (1, 0, 1), (0,)):
+            with pytest.raises(ValueError, match="not that of a convergent word"):
+                interior_to_mzv(interior)
+
+
+class TestCompositionHash:
+    """A composition hashes once, when built, to the dataclass's own value."""
+
+    @staticmethod
+    def built_every_way() -> list[list[ZetaComposition]]:
+        """Groups of equal compositions, each member a separate object."""
+        stuffled = list(stuffle_depth1(2, zc(3)).keys())  # z(2,3), z(3,2), z(5)
+        return [
+            [zc(2, 3), ZetaComposition.parse("z(2,3)"), word_to_mzv(word("0101001"))[0], stuffled[0]],
+            [zc(3, 2), ZetaComposition.parse(" z(3,2) "), word_to_mzv(word("0100101"))[0], stuffled[1]],
+            [zc(5), ZetaComposition.parse("z(5)"), word_to_mzv(word("0100001"))[0], stuffled[2]],
+            [zc(), ZetaComposition.parse("z()"), word_to_mzv(word("01"))[0]],
+        ]
+
+    def test_equal_compositions_hash_equal(self):
+        groups = self.built_every_way()
+        for group in groups:
+            first = group[0]
+            copies = [
+                pickle.loads(pickle.dumps(first)),  # as a --jobs pool ships it
+                copy.deepcopy(first),
+                dataclasses.replace(first),
+                dataclasses.replace(zc(7), args=first.args),
+            ]
+            for comp in group + copies:
+                assert comp == first and hash(comp) == hash(first)
+                assert hash(comp) == hash((comp.args,))  # the dataclass hash
+                assert {first: 1}[comp] == 1
+        distinct = {group[i] for group in groups for i in range(len(group))}
+        assert len(distinct) == len(groups)
+
+    def test_pickled_map_keeps_its_keys(self):
+        sums = {comp: n for n, comp in enumerate(stuffle_depth1(2, zc(2, 3)).keys())}
+        back = pickle.loads(pickle.dumps(sums))
+        assert back == sums
+        assert all(back[comp] == n for comp, n in sums.items())
+
+    def test_fields_repr_and_json_unchanged(self):
+        comp = zc(1, 3)
+        assert [f.name for f in dataclasses.fields(comp)] == ["args"]
+        assert dataclasses.asdict(comp) == {"args": (1, 3)}
+        assert repr(comp) == "ZetaComposition(args=(1, 3))"
+        assert serial.dumps(serial.lincomb_to_json(LinComb.term(comp, Fraction(-2, 3)))) == (
+            '[{"coeff_den": "3", "coeff_num": "-2", "pi_exp": 0, '
+            '"term": "z(1,3)", "term_kind": "zeta"}]'
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            comp.args = (2,)
 
 
 class TestTextFormats:
