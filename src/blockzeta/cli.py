@@ -178,9 +178,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _verify_payload(ident: Identity, digits: int, max_den: int):
-    """The `--jobs` worker entry: one identity, pickled to the worker."""
-    return verify(ident, digits, max_den)
+def _verify_payload(keys: list[tuple[int, ...]], digits: int) -> SeriesMemo:
+    """The `--jobs` worker entry: walk one sorted range of series keys."""
+    return walk_series(keys, digits)
 
 
 def _verify_batch(idents: list[Identity], digits: int, max_den: int, workers: int):
@@ -188,29 +188,22 @@ def _verify_batch(idents: list[Identity], digits: int, max_den: int, workers: in
 
     The batch's distinct series keys are sorted and walked before any
     identity is evaluated, in this process for one worker.  For more, the
-    keys are split into `workers` contiguous ranges, each walked once in
-    the first pool; the workers of the second pool start from the merged
-    memo, handed over by the pool initializer, and evaluate the identities
-    without a transform.
+    keys are split into `workers` contiguous ranges, each walked once in a
+    pool worker, and this process loads every walked memo.  The identities
+    are evaluated in this process, without a transform.
     """
     for ident in idents:
         check_verify_input(ident, digits, max_den)
     keys = series_keys(idents)
     if workers <= 1:  # no identities at all, or one worker
         walk_series(keys, digits)
-        return [verify(ident, digits, max_den) for ident in idents]
-    step = -(-len(keys) // workers) or 1  # a batch may have no keys
-    ranges = [keys[i : i + step] for i in range(0, len(keys), step)]
-    values = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for walked in pool.map(walk_series, ranges, [digits] * len(ranges)):
-            values.update(walked.values)
-    memo = SeriesMemo(digits, values)
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=load_series, initargs=(memo,)
-    ) as pool:
-        n = len(idents)
-        return list(pool.map(_verify_payload, idents, [digits] * n, [max_den] * n))
+    else:
+        step = -(-len(keys) // workers) or 1  # a batch may have no keys
+        ranges = [keys[i : i + step] for i in range(0, len(keys), step)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for memo in pool.map(_verify_payload, ranges, [digits] * len(ranges)):
+                load_series(memo)
+    return [verify(ident, digits, max_den) for ident in idents]
 
 
 def cmd_verify(args) -> int:

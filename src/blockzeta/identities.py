@@ -64,6 +64,8 @@ class Identity:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown identity family {self.family!r}")
+        if self.weight < 0:
+            raise ValueError(f"identity weight must be at least 0, got {self.weight}")
         for key, coeff in self.lhs.items():
             if not isinstance(key, (Word, ZetaComposition)):
                 raise ValueError(f"identity terms are words or zeta values, got {key}")

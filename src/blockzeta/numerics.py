@@ -20,8 +20,12 @@ walk restarts from the root.  `verify` therefore walks the whole batch
 once, before any identity is evaluated: `series_keys` collects the
 batch's keys and `walk_series` walks one sorted range of them, in this
 process at `--jobs 1`; at `--jobs K` each range is walked in a pool
-worker, and the merged `SeriesMemo` is loaded into every evaluating
-process by `load_series`.
+worker, and `load_series` adds each walked `SeriesMemo` to this
+process's memo.  Every identity is then evaluated in the `verify`
+process, because the walk is most of a batch's time: on the 218
+identities of the mixed benchmark batch at 500 digits (278 keys, one
+process, three runs on a 2-core host) `series_keys` took 0.04-0.06 s,
+the walk 0.51-0.70 s and the evaluation 0.13-0.22 s.
 """
 
 from __future__ import annotations
@@ -158,7 +162,7 @@ def series_keys(idents) -> list[tuple[int, ...]]:
     comps = set()
     for identity in idents:
         comps.update(s for s, _ in regularise_sums(identity.lhs)[1])
-        if identity.rhs is None and identity.weight >= 2:  # verify rejects a lower weight
+        if identity.rhs is None:
             comps.add(ZetaComposition((identity.weight,)))
     return sorted(set(_word_keys(comps)))
 
@@ -324,6 +328,11 @@ def check_verify_input(identity, digits: int, max_den: int) -> None:
     if identity.weight > MAX_WEIGHT:
         raise ValueError(
             f"weight {identity.weight} beyond the configured ceiling {MAX_WEIGHT}"
+        )
+    if identity.rhs is None and identity.weight < 2:
+        raise ValueError(
+            "an unknown right-hand side q*zeta(N) needs weight N >= 2, "
+            f"got weight {identity.weight}"
         )
     _check_max_den(max_den)
 

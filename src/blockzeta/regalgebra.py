@@ -26,6 +26,8 @@ from .words import ONE, Word, ZetaComposition, interior_to_mzv
 #: letters -> {composition: integer coefficient}; shared, so read it only.
 _REG_CACHE: dict[tuple[int, ...], dict[ZetaComposition, int]] = {}
 
+MAX_EXPANSION = 10**4  # ceiling: each word of an expansion is regularised in turn
+
 
 def _expand_leading(interior: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Divergence expansion of a weight >= 1 word with bounds (0, 1).
@@ -34,11 +36,20 @@ def _expand_leading(interior: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     relation is the shuffle identity reg I(0; 0^k 1 v; 1) = (-1)^k sum
     I(0; 1 s; 1) over the shuffles s of 0^k with v.  At k = 0 the
     interior is its own expansion; an all-zero interior is a
-    shuffle-power of I(0;0;1), regularised to 0.
+    shuffle-power of I(0;0;1), regularised to 0.  The expansion has
+    C(k + j, j) distinct interiors, j the number of ones in v; it is
+    counted first and may not exceed MAX_EXPANSION.
     """
     if 1 not in interior:
         return {}
     k = interior.index(1)
+    count = comb(k + interior.count(1) - 1, k)
+    if count > MAX_EXPANSION:
+        word = "".join(map(str, (0, *interior, 1)))
+        raise ValueError(
+            f"word {word} has a divergence expansion of {count} words, beyond "
+            f"the configured ceiling {MAX_EXPANSION}"
+        )
     sign = -1 if k % 2 else 1
     return {
         (1,) + s: sign * mult

@@ -1,8 +1,11 @@
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -31,6 +34,9 @@ TERM = {
 }
 RHS = {"num": "1", "den": "6", "pi_exp": 2}
 RECORD = {"family": "cyclic-basic", "params": {}, "weight": 2, "lhs": [TERM], "rhs": RHS}
+ZERO_RHS = {"num": "0", "den": "1", "pi_exp": 0}
+# 0 0^9 1 1^9 1 expands by the divergence relation to C(18, 9) = 48 620 words
+DEEP = "0" * 10 + "1" * 11
 
 
 def record(**changes) -> str:
@@ -45,11 +51,9 @@ def serial_pool(sizes: list[int]):
     """
 
     class SerialPool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
             numerics.reset_caches()
-            if initializer is not None:
-                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -86,6 +90,16 @@ class TestConversions:
         code, out, _ = invoke(capsys, "regularise", "0010111")
         assert code == 0
         assert out.strip() == "(6)*z(1,4) + (2)*z(2,3) + (1)*z(3,2)"
+
+    def test_regularise_refuses_an_expansion_above_the_ceiling(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = invoke(capsys, "regularise", DEEP)
+        assert time.monotonic() - t0 < 1
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: word {DEEP} has a divergence expansion of 48620 words, "
+            "beyond the configured ceiling 10000\n"
+        )
 
     def test_parse_error_exit_2(self, capsys):
         code, _, err = invoke(capsys, "decompose", "01x1")
@@ -193,8 +207,8 @@ class TestGenerateVerify:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool(sizes))
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert verify_output(jobs) == verify_output(1)
-        # one pool walks the series prefixes, the next evaluates
-        assert sizes == ([] if workers is None else [workers, workers])
+        # one pool walks the series prefixes; verify evaluates in process
+        assert sizes == ([] if workers is None else [workers])
 
 
 def _series_prefixes(idents) -> tuple[set, int]:
@@ -269,7 +283,26 @@ class TestPooledVerify:
         code, out, err = invoke(capsys, "verify", "--jobs", "2", "--format", "json")
         assert (code, err) == (0, "")
         assert [r["status"] for r in masked_reports(out)] == ["verified", "verified"]
-        assert sizes == [2, 2]
+        assert sizes == [2]
+
+    def test_spawn_pool_reports_equal_serial_reports(self, capsys, monkeypatch):
+        # a spawned worker inherits nothing from this process, so the walk
+        # may depend on no state a fork would hand over
+        sizes = []
+
+        def spawn_pool(max_workers):
+            sizes.append(max_workers)
+            spawn = multiprocessing.get_context("spawn")
+            return ProcessPoolExecutor(max_workers=max_workers, mp_context=spawn)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code1, out1, _ = self._verify(capsys, monkeypatch, 1)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
+        numerics.reset_caches()
+        code2, out2, _ = self._verify(capsys, monkeypatch, 2)
+        assert code1 == code2 == 0
+        assert masked_reports(out2) == masked_reports(out1)
+        assert sizes == [2]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize(
@@ -291,6 +324,41 @@ class TestPooledVerify:
         heavy = record(weight=202, lhs=[], rhs={"num": "1", "den": "1", "pi_exp": 202})
         monkeypatch.setattr("sys.stdin", io.StringIO("\n".join([record(), heavy])))
         code, out, err = invoke(capsys, "verify", "--jobs", jobs, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert sizes == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (
+                record(weight=-3, lhs=[], rhs=ZERO_RHS),
+                "identity weight must be at least 0, got -3",
+            ),
+            (
+                record(weight=0, lhs=[], rhs=serial.UNKNOWN_RHS),
+                "an unknown right-hand side q*zeta(N) needs weight N >= 2, got weight 0",
+            ),
+            (
+                record(weight=1, lhs=[], rhs=serial.UNKNOWN_RHS),
+                "an unknown right-hand side q*zeta(N) needs weight N >= 2, got weight 1",
+            ),
+            (
+                record(weight=19, lhs=[{**TERM, "term_kind": "word", "term": DEEP}], rhs=ZERO_RHS),
+                f"word {DEEP} has a divergence expansion of 48620 words, "
+                "beyond the configured ceiling 10000",
+            ),
+        ],
+        ids=["negative-weight", "unknown-rhs-weight-0", "unknown-rhs-weight-1", "deep-expansion"],
+    )
+    def test_a_record_out_of_range_exits_2_at_once(self, capsys, monkeypatch, bad, message, jobs):
+        sizes = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool(sizes))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join([record(), bad])))
+        t0 = time.monotonic()
+        code, out, err = invoke(capsys, "verify", "--jobs", jobs)
+        assert time.monotonic() - t0 < 1
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert sizes == []
 
@@ -482,7 +550,7 @@ class TestVerifyInputFuzz:
     @given(near(RECORD))
     def test_jobs_1_and_2_agree(self, value):
         # behind a well-formed record, so a well-formed draw makes a batch of
-        # two and --jobs 2 runs both pools (in this process)
+        # two and --jobs 2 runs the pool (in this process)
         stdin = "\n".join([record(), json.dumps(value)])
         outputs = []
         with pytest.MonkeyPatch.context() as mp:

@@ -204,6 +204,16 @@ class TestDivergenceRelation:
         # interiors 0 u of L - 2 letters with a 1 in u
         assert count == sum(2 ** (L - 3) - 1 for L in range(3, 13))
 
+    def test_expansion_size_is_counted_in_advance(self):
+        # 0^k 1 v expands to C(k + j, j) interiors, j the ones of v
+        for L in range(3, 12):
+            for w in all_words(L):
+                a = w.interior
+                if 1 in a:
+                    k, j = a.index(1), a.count(1) - 1
+                    assert len(shuffle_interiors((0,) * k, a[k + 1 :])) == comb(k + j, j)
+                    assert len(_expand_leading(a)) == comb(k + j, j)
+
     def test_outputs_start_with_one(self):
         for w in all_words(8):
             if _left_divergent(w):
