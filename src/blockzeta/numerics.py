@@ -10,10 +10,13 @@ suffix chain the flipped reversed interior, and the chains of the words
 of one combination are walked together in sorted order, so each distinct
 prefix is transformed once per walk (see `_state_values`).
 
-Combinations are evaluated from the integer sums of `regularise_sums`:
-a term with numerator Q over the common denominator D scales a value's
-mantissa and error by Q and floor-divides by D, which gives the same
-bits as scaling by the reduced fraction Q/D.
+Combinations are evaluated from the integer sums of `regularise_sums`,
+keyed by the interior v of each convergent integral I(0; v; 1): the
+series keys, the walk and the value cache all run on interiors, and a
+composition is met only by `eval_mzv`, through its word.  A term with
+numerator Q over the common denominator D scales a value's mantissa and
+error by Q and floor-divides by D, which gives the same bits as scaling
+by the reduced fraction Q/D.
 
 A walk keeps the values of the prefixes but not their arrays, so each
 walk restarts from the root.  `verify` therefore walks the whole batch
@@ -77,7 +80,7 @@ class EvalCache:
 
 
 _cache = EvalCache()
-_word_cache: dict[tuple[Word, int], BigReal] = {}
+_word_cache: dict[tuple[tuple[int, ...], int], BigReal] = {}  # (interior, digits)
 # g(p; 1/2) * 2^F for every series prefix p reached so far, per exact (M, F)
 _states: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
 
@@ -94,14 +97,13 @@ def _orders(bits: int) -> tuple[int, int]:
     return bits + _TAIL_EXTRA, bits + _SCALE_EXTRA
 
 
-def _keys(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Prefix and suffix keys of a convergent word.
+def _keys(a: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Prefix and suffix keys of the convergent word with interior a.
 
     The interior a_1..a_N, and its flipped reverse (1 - a_N, ..., 1 - a_1),
     whose prefix of length N - k is the reflected suffix a_{k+1}..a_N.
     Both start with letter 1.
     """
-    a = w.interior
     return a, tuple(1 - x for x in reversed(a))
 
 
@@ -139,11 +141,6 @@ def _state_values(keys, M: int, F: int) -> dict[tuple[int, ...], int]:
     return memo
 
 
-def _word_keys(comps) -> list[tuple[int, ...]]:
-    """Prefix and suffix keys of the words of the convergent compositions."""
-    return [k for s in comps if s.args and s.is_convergent for k in _keys(mzv_to_word(s)[0])]
-
-
 @dataclass
 class SeriesMemo:
     """Values g(p; 1/2) * 2^F of series prefixes p at one precision."""
@@ -155,16 +152,16 @@ class SeriesMemo:
 def series_keys(idents) -> list[tuple[int, ...]]:
     """The sorted distinct series keys `verify` walks for a batch.
 
-    The keys of every convergent composition of each regularised lhs, and
-    of zeta(N) when the right-hand side is unknown; a known right-hand
-    side is a multiple of the constant 1, which has no keys.
+    The keys of every interior of each regularised lhs, and of zeta(N),
+    the interior 1 0^(N-1), when the right-hand side is unknown; a known
+    right-hand side is a multiple of the constant 1, which has no keys.
     """
-    comps = set()
+    interiors = set()
     for identity in idents:
-        comps.update(s for s, _ in regularise_sums(identity.lhs)[1])
+        interiors.update(v for v, _ in regularise_sums(identity.lhs)[1])
         if identity.rhs is None:
-            comps.add(ZetaComposition((identity.weight,)))
-    return sorted(set(_word_keys(comps)))
+            interiors.add((1,) + (0,) * (identity.weight - 1))
+    return sorted({k for v in interiors if v for k in _keys(v)})
 
 
 def walk_series(keys, digits: int) -> SeriesMemo:
@@ -180,19 +177,25 @@ def load_series(memo: SeriesMemo) -> None:
 def eval_word(w: Word, digits: int = DEFAULT_DIGITS) -> BigReal:
     """Value of the iterated integral of a convergent word."""
     _check_digits(digits)
+    if w.weight and w.is_trivial:
+        return BigReal.exact_zero(bits_for_digits(digits))
+    if w.weight and not w.is_convergent:
+        raise ValueError(f"word {w} is divergent; regularise before evaluating")
+    # a weight-0 word has the empty interior: the unit integral, any bounds
+    return _eval_interior(w.interior, digits)
+
+
+def _eval_interior(a: tuple[int, ...], digits: int) -> BigReal:
+    """I(0; a; 1) for a convergent interior a, memoised in _word_cache."""
     bits = bits_for_digits(digits)
-    key = (w, digits)
+    if not a:
+        return BigReal.from_int(1, bits)  # the unit integral, exactly
+    key = (a, digits)
     hit = _word_cache.get(key)
     if hit is not None:
         return hit
-    if w.weight == 0:
-        return BigReal.from_int(1, bits)  # unit integral, any bounds
-    if w.is_trivial:
-        return BigReal.exact_zero(bits)
-    if not w.is_convergent:
-        raise ValueError(f"word {w} is divergent; regularise before evaluating")
     M, F = _orders(bits)
-    pref, suf = _keys(w)
+    pref, suf = _keys(a)
     N = len(pref)
     # prefix g(a_1..a_k; 1/2) and suffix g(flip reverse(a_{k+1}..a_N); 1/2);
     # a factor of j >= 1 letters is off by at most j + tail ulps
@@ -212,12 +215,8 @@ def eval_word(w: Word, digits: int = DEFAULT_DIGITS) -> BigReal:
 
 
 def eval_mzv(s: ZetaComposition, digits: int = DEFAULT_DIGITS) -> BigReal:
-    """zeta(s) to the requested precision; s must be convergent."""
+    """zeta(s) to the requested precision; mzv_to_word rejects a divergent s."""
     _check_digits(digits)
-    if not s.is_convergent:
-        raise ValueError(f"{s} diverges: last argument must be >= 2")
-    if not s.args:
-        return BigReal.from_int(1, bits_for_digits(digits))
     hit = _cache.get(s, digits)
     if hit is not None:
         return hit
@@ -237,20 +236,20 @@ def zeta_value(n: int, digits: int = DEFAULT_DIGITS) -> BigReal:
 def eval_lincomb(c: LinComb, digits: int = DEFAULT_DIGITS) -> BigReal:
     """Exact-coefficient combination of MZV and word values.
 
-    Word keys are regularised first; the empty composition is the
-    constant 1; pi powers come from the verified pi engine.  The series
-    prefixes of every composition not yet cached are walked in one call.
-    Each term is value * Q // D, the same bits as `BigReal.mul_fraction`
-    of the reduced coefficient Q/D.
+    Every term is regularised to sums over interiors; the empty interior
+    is the constant 1; pi powers come from the verified pi engine.  The
+    series prefixes of every interior not yet cached are walked in one
+    call.  Each term is value * Q // D, the same bits as
+    `BigReal.mul_fraction` of the reduced coefficient Q/D.
     """
     _check_digits(digits)
     D, sums = regularise_sums(c)
     bits = bits_for_digits(digits)
-    missing = [s for s, _ in sums if _cache.get(s, digits) is None]
-    _state_values(_word_keys(missing), *_orders(bits))
+    missing = [v for v, _ in sums if (v, digits) not in _word_cache]
+    _state_values([k for v in missing for k in _keys(v)], *_orders(bits))
     man = err = 0
-    for (s, pi_exp), q in sums.items():
-        value = eval_mzv(s, digits)
+    for (v, pi_exp), q in sums.items():
+        value = _eval_interior(v, digits)
         term_man = (value.man * q) // D
         term_err = (value.err * abs(q)) // D + 2
         if pi_exp:

@@ -4,14 +4,15 @@ regularise() implements the five-step procedure: normalise the bounds by
 path reversal, kill equal-bound words, expand leading zeros with the
 divergence relation, dualise to fix the right end, expand again, then
 read off MZV compositions.  It runs on letter tuples and integer
-coefficient maps, memoised per tuple, and reads compositions straight off
-interiors: a Word is met only at the public boundary (regularise_word and
-the word keys of a combination).  regularise_sums adds the maps up in
-integers over a common denominator, and regularise converts to PiRational
-only for its output, while numerics evaluates the integer sums directly.
-The recursion terminates because each divergence expansion yields words
-with a 1 next to the lower bound, and at most one duality step re-exposes
-leading zeros.
+coefficient maps, memoised per tuple, whose keys are the interiors v of
+convergent integrals I(0; v; 1): a Word is met only in the word keys of
+a combination.  regularise_sums adds the maps up in integers over a
+common denominator, still keyed by interior, and numerics evaluates
+those sums directly; only regularise reads compositions off, once per
+sum, with their sign (-1)^depth, and converts to PiRational for its
+output.  The recursion terminates because each divergence expansion
+yields words with a 1 next to the lower bound, and at most one duality
+step re-exposes leading zeros.
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .lincomb import LinComb, PiRational, combine
-from .words import ONE, Word, ZetaComposition, interior_to_mzv
+from .words import Word, ZetaComposition, interior_to_mzv, mzv_to_word
 
 
-#: letters -> {composition: integer coefficient}; shared, so read it only.
-_REG_CACHE: dict[tuple[int, ...], dict[ZetaComposition, int]] = {}
+#: letters -> {interior v: integer coefficient of I(0; v; 1)}; shared, so
+#: read it only.
+_REG_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
-MAX_EXPANSION = 10**4  # ceiling: each word of an expansion is regularised in turn
+# ceiling on the words of one expansion or shuffle product: each word of a
+# divergence expansion is regularised in turn, and each shuffle is a term
+MAX_EXPANSION = 10**4
 
 
 def _expand_leading(interior: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -57,12 +61,13 @@ def _expand_leading(interior: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     }
 
 
-def _regularise_word(letters: tuple[int, ...]) -> dict[ZetaComposition, int]:
+def _regularise_word(letters: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Regularised I(letters) as an integer map, memoised in _REG_CACHE.
 
-    For bounds (0, 1) the five-step procedure factors as follows.  A word
-    u with a 1 after its lower bound is its own divergence expansion, so
-    reg(u) dualises u, expands again and reads off compositions; a
+    The map sends the interior v of each convergent integral I(0; v; 1)
+    to its coefficient.  For bounds (0, 1) the five-step procedure
+    factors as follows.  A word u with a 1 after its lower bound is its
+    own divergence expansion, so reg(u) dualises u and expands again; a
     left-divergent word is the sum of c_u reg(u) over its expansion, and
     each reg(u) is cached under u's letters.
     """
@@ -72,26 +77,23 @@ def _regularise_word(letters: tuple[int, ...]) -> dict[ZetaComposition, int]:
     weight = len(letters) - 2
     sign = -1 if weight % 2 else 1
     if weight == 0:
-        result = {ONE: 1}  # the unit integral
+        result = {(): 1}  # the unit integral
     elif letters[0] == letters[-1]:
         result = {}
     elif letters[0] == 1:
         # reversal of paths onto bounds (0, 1)
-        result = {comp: sign * n for comp, n in _regularise_word(letters[::-1]).items()}
+        result = {v: sign * n for v, n in _regularise_word(letters[::-1]).items()}
     elif letters[1] == 1:
         # the dual word keeps the bounds (0, 1); its interior is the
         # flipped reverse of this one
         dual = tuple(1 - x for x in reversed(letters[1:-1]))
-        result = {}
-        for v, n in _expand_leading(dual).items():
-            comp, mzv_sign = interior_to_mzv(v)
-            result[comp] = sign * mzv_sign * n
+        result = {v: sign * n for v, n in _expand_leading(dual).items()}
     else:
-        acc: dict[ZetaComposition, int] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for u, c_u in _expand_leading(letters[1:-1]).items():
-            for comp, n in _regularise_word((0,) + u + (1,)).items():
-                acc[comp] = acc.get(comp, 0) + c_u * n
-        result = {comp: n for comp, n in acc.items() if n}
+            for v, n in _regularise_word((0,) + u + (1,)).items():
+                acc[v] = acc.get(v, 0) + c_u * n
+        result = {v: n for v, n in acc.items() if n}
     _REG_CACHE[letters] = result
     return result
 
@@ -102,36 +104,40 @@ def regularise_word(w: Word) -> LinComb:
     Normalises the bounds, expands leading zeros with the divergence
     relation, dualises, expands again and reads off MZVs.
     """
-    return LinComb(_regularise_word(w.letters))
+    return regularise(LinComb.term(w))
 
 
-def regularise_sums(c: LinComb) -> tuple[int, dict[tuple[ZetaComposition, int], int]]:
+def regularise_sums(c: LinComb) -> tuple[int, dict[tuple[tuple[int, ...], int], int]]:
     """regularise(c) over a common denominator, in integers.
 
     Returns D, the lcm of the denominators of c's coefficients, and the
     exact integer numerators Q over D of the nonzero sums, keyed by
-    (composition, pi exponent) in order of first appearance.  Raises
-    combine's ValueError when a composition is left with two pi exponents.
+    (interior, pi exponent) in order of first appearance: Q/D is the
+    coefficient of I(0; interior; 1).  A composition key enters as the
+    interior of its word, with its sign (-1)^depth; a divergent one is
+    rejected with ValueError.  Raises combine's ValueError when an
+    interior is left with two pi exponents.
     """
     D = lcm(*(coeff.coeff.denominator for _, coeff in c.items()))
-    sums: dict[tuple[ZetaComposition, int], int] = {}
+    sums: dict[tuple[tuple[int, ...], int], int] = {}
     get = sums.get
     for key, coeff in c.items():
         if isinstance(key, Word):
             expansion = _regularise_word(key.letters).items()
         elif isinstance(key, ZetaComposition):
-            expansion = ((key, 1),)
+            w, sign = mzv_to_word(key)
+            expansion = ((w.interior, sign),)
         else:
             raise TypeError(f"cannot regularise term of type {type(key).__name__}")
         q, pi_exp = coeff.coeff, coeff.pi_exp
         m = q.numerator * (D // q.denominator)
-        for comp, n in expansion:
-            slot = (comp, pi_exp)
+        for v, n in expansion:
+            slot = (v, pi_exp)
             sums[slot] = get(slot, 0) + m * n
     sums = {slot: q for slot, q in sums.items() if q}
-    pi_exps: dict[ZetaComposition, int] = {}
-    for comp, pi_exp in sums:
-        first = pi_exps.setdefault(comp, pi_exp)
+    pi_exps: dict[tuple[int, ...], int] = {}
+    for v, pi_exp in sums:
+        first = pi_exps.setdefault(v, pi_exp)
         if first != pi_exp:
             raise ValueError(f"cannot add pi^{first} and pi^{pi_exp} coefficients")
     return D, sums
@@ -140,13 +146,16 @@ def regularise_sums(c: LinComb) -> tuple[int, dict[tuple[ZetaComposition, int], 
 def regularise(c: LinComb) -> LinComb:
     """Linear extension of regularise_word; composition keys pass through.
 
-    Coefficients are summed per (composition, pi exponent) by
-    regularise_sums, which rejects a composition left with two pi exponents.
+    Coefficients are summed per (interior, pi exponent) by regularise_sums,
+    which rejects an interior left with two pi exponents; each sum is then
+    read off as a composition, with its sign.
     """
     D, sums = regularise_sums(c)
-    return combine(
-        (comp, PiRational(Fraction(q, D), pi_exp)) for (comp, pi_exp), q in sums.items()
-    )
+    out = []
+    for (v, pi_exp), q in sums.items():
+        comp, sign = interior_to_mzv(v)
+        out.append((comp, PiRational(Fraction(sign * q, D), pi_exp)))
+    return combine(out)
 
 
 def shuffle_interiors(u: tuple[int, ...], v: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -172,7 +181,17 @@ def shuffle_interiors(u: tuple[int, ...], v: tuple[int, ...]) -> dict[tuple[int,
 
 
 def shuffle_words(u: tuple[int, ...], v: tuple[int, ...]) -> LinComb:
-    """I(0;u;1) * I(0;v;1) as a sum of words; u, v are interiors."""
+    """I(0;u;1) * I(0;v;1) as a sum of words; u, v are interiors.
+
+    The C(|u| + |v|, |u|) interleavings are counted first, and their
+    number may not exceed MAX_EXPANSION.
+    """
+    count = comb(len(u) + len(v), len(u))
+    if count > MAX_EXPANSION:
+        raise ValueError(
+            f"shuffle of {len(u)} and {len(v)} letters has {count} interleavings, "
+            f"beyond the configured ceiling {MAX_EXPANSION}"
+        )
     return combine(
         (Word((0,) + mid + (1,)), mult)
         for mid, mult in shuffle_interiors(tuple(u), tuple(v)).items()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from operator import sub
 
 
@@ -213,8 +214,9 @@ def word_of(B: BlockDecomposition) -> Word:
 class ZetaComposition:
     """Argument tuple of a multiple zeta value; convergent iff last >= 2."""
 
-    # slots rather than an instance dict: a regularisation cache holds tens
-    # of thousands of compositions, and the hash below is a second attribute
+    # slots rather than an instance dict: the read-off memo of
+    # interior_to_mzv holds one composition per distinct interior, and the
+    # hash below is a second attribute
     __slots__ = ("args", "_hash")
     args: tuple[int, ...]
 
@@ -223,7 +225,7 @@ class ZetaComposition:
             if a.__class__ is not int and not is_int(a) or a < 1:
                 raise ValueError(f"zeta arguments must be positive integers, got {a!r}")
         # the value the dataclass hash computes on every call, computed once:
-        # compositions key the regularisation maps and the sums over them
+        # compositions key every combination that regularise and rank build
         object.__setattr__(self, "_hash", hash((self.args,)))
 
     def __hash__(self) -> int:
@@ -296,11 +298,14 @@ def word_to_mzv(w: Word) -> tuple[ZetaComposition, int]:
     return interior_to_mzv(w.interior)
 
 
+@cache
 def interior_to_mzv(interior: tuple[int, ...]) -> tuple[ZetaComposition, int]:
     """Composition and sign (-1)^depth of the word 0 interior 1.
 
     That word is convergent when its interior is empty, or starts with 1
-    and ends with 0; any other interior is rejected.
+    and ends with 0; any other interior is rejected.  Memoised: every
+    regularised sum is read off through here, so each distinct interior
+    builds its composition once.
     """
     if interior and (interior[0] != 1 or interior[-1] != 0):
         raise ValueError(

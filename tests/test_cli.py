@@ -124,6 +124,18 @@ class TestGenerateVerify:
         code, out, _ = invoke(capsys, "verify", "--digits", "30")
         assert code == 0 and "[verified]" in out
 
+    @pytest.mark.parametrize("lengths", ["1,1,400", "1,1,1,1,60"])
+    def test_symbolic_shuffle_ceiling_exits_2_at_once(self, capsys, lengths):
+        # 1,1,400 shuffles 2 letters with 398, C(400, 2) = 79 800 words;
+        # 1,1,1,1,60 shuffles 4 with 58, C(62, 4) = 557 845
+        t0 = time.monotonic()
+        code, out, err = invoke(
+            capsys, "generate", "cyclic-full", "--mode", "symbolic", "--lengths", lengths
+        )
+        assert time.monotonic() - t0 < 1
+        assert (code, out) == (2, "")
+        assert "interleavings, beyond the configured ceiling 10000" in err
+
     def test_verify_family_flag(self, capsys):
         code, out, _ = invoke(
             capsys, "verify", "--family", "hoffman", "--b", "0,0,1",
@@ -359,6 +371,22 @@ class TestPooledVerify:
         t0 = time.monotonic()
         code, out, err = invoke(capsys, "verify", "--jobs", jobs)
         assert time.monotonic() - t0 < 1
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert sizes == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_divergent_composition_exits_2_before_the_walk(self, capsys, monkeypatch, jobs):
+        def not_yet(*_):
+            raise AssertionError("walked before the divergent term was rejected")
+
+        sizes = []
+        monkeypatch.setattr(cli, "walk_series", not_yet)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", serial_pool(sizes))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        divergent = record(weight=3, lhs=[{**TERM, "term": "z(2,1)"}], rhs=ZERO_RHS)
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join([divergent, divergent])))
+        code, out, err = invoke(capsys, "verify", "--jobs", jobs)
+        message = "non-convergent composition z(2,1): last argument must be >= 2"
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert sizes == []
 

@@ -183,6 +183,11 @@ class TestBasis:
         with pytest.raises(ValueError, match="weight 5 term in weight-6"):
             vectorize(comb, 6)
 
+    def test_divergent_composition_rejected(self):
+        # regularisation rejects it, with ValueError rather than a column lookup
+        with pytest.raises(ValueError, match="non-convergent composition z\\(2,1\\)"):
+            vectorize(LinComb.term(zc(2, 1)), 3)
+
     def test_bare_constant_rejected(self):
         # the empty composition is the one weight-0 basis element
         with pytest.raises(ValueError, match="constant term in a weight-0"):

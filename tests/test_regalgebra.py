@@ -24,6 +24,7 @@ from blockzeta.words import (
     Word,
     ZetaComposition,
     compositions,
+    interior_to_mzv,
     word,
     word_to_mzv,
     zc,
@@ -287,12 +288,36 @@ class TestRegularise:
         assert out == _reference_regularise(comb)
         assert zc(2, 3) not in out.keys()
         assert out.get(zc(3)) == PiRational(Fraction(-2, 9), 2)
-        # the integer sums behind it: one common denominator, same key order
+        # the integer sums behind it: one common denominator, keyed by the
+        # interiors of convergent words, read off in the same order
         D, sums = regularise_sums(comb)
         assert D == 180
-        assert [(comp, PiRational(Fraction(q, D), e)) for (comp, e), q in sums.items()] == list(
-            out.items()
-        )
+        read_off = []
+        for (v, e), q in sums.items():
+            comp, sign = interior_to_mzv(v)
+            read_off.append((comp, PiRational(Fraction(sign * q, D), e)))
+        assert read_off == list(out.items())
+        for v, _ in sums:
+            assert v == () or (v[0] == 1 and v[-1] == 0), v
+
+    def test_cache_holds_interiors_only(self):
+        for L in range(2, 11):
+            for w in all_words(L):
+                regularise_word(w)
+        assert regalgebra._REG_CACHE
+        for letters, terms in regalgebra._REG_CACHE.items():
+            for v, n in terms.items():
+                assert not isinstance(v, ZetaComposition), (letters, v)
+                assert type(v) is tuple and type(n) is int, (letters, v, n)
+                assert v == () or (v[0] == 1 and v[-1] == 0), (letters, v)
+
+    def test_divergent_composition_rejected(self):
+        comb = LinComb.term(zc(2, 1))
+        for fn in (regularise, regularise_sums):
+            with pytest.raises(ValueError, match="non-convergent composition z\\(2,1\\)"):
+                fn(comb)
+        with pytest.raises(ValueError, match="non-convergent"):
+            regularise(LinComb.term(word("0101")) + comb)
 
     def test_two_pi_exponents_on_one_key(self):
         # regularise_word(0101) = -zeta(2)
