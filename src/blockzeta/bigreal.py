@@ -121,11 +121,13 @@ class BigReal:
         bound = abs(self.man) + self.err
         if bound == 0:
             return 10**6
-        d = 0
-        scale = 1 << self.bits
-        while bound * 10 ** (d + 1) < scale and d < 10**6:
+        # bound * 10^d < 2^bits exactly when 10^d <= q; the bit-length
+        # estimate starts at or below that d, as 30102/100000 < log10(2)
+        q = ((1 << self.bits) - 1) // bound
+        d = max(0, (q.bit_length() - 1) * 30102 // 100000)
+        while 10 ** (d + 1) <= q:
             d += 1
-        return d
+        return min(d, 10**6)
 
 
 def _arctan_inv(q: int, bits: int) -> tuple[int, int]:

@@ -57,9 +57,8 @@ def d_r(c: LinComb, r: int) -> LinComb:
         for p in range(key.weight - r + 1):
             if letters[p] == letters[p + r + 1]:
                 continue  # trivial subsequence, equal boundaries
+            # odd length r + 2, distinct ends: the four images differ, sign != 0
             rep, sign = canonical_word(Word(letters[p : p + r + 2]))
-            if sign == 0:
-                continue
             quot = Word(letters[: p + 1] + letters[p + r + 1 :])
             terms.append((TensorTerm(rep, quot, r), coeff * sign))
     return combine(terms)

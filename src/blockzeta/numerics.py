@@ -3,12 +3,21 @@
 Convergent iterated integrals are evaluated by composing the path at
 the midpoint: I(0; a; 1) = sum_k I(0; a_1..a_k; 1/2) I(1/2; a_{k+1}..; 1),
 with the right factors reflected through t -> 1-t so every factor is a
-convergent power series at 1/2 with a geometric tail.  Prefix and
-suffix factors are built incrementally, one series transform per letter,
-and every prefix is shared: a word's prefix chain is its interior, its
-suffix chain the flipped reversed interior, and the chains of the words
-of one combination are walked together in sorted order, so each distinct
-prefix is transformed once per walk (see `_state_values`).
+convergent power series at 1/2 with a geometric tail.  A word's prefix
+factors are the series of its interior's prefixes, its suffix factors
+those of the flipped reversed interior (see `_keys`).
+
+Evaluation is walk, then read.  `walk_series` is the one function that
+walks series prefixes: it builds the factors one series transform per
+letter, walks its keys together in sorted order so that each distinct
+prefix is transformed once per walk, and keeps the value of every
+prefix in the memo of its precision.  `_eval_interior` only reads that
+memo, so its caller walks first.  The three callers of `walk_series`:
+`eval_word` walks the keys of its one interior; `eval_lincomb` walks
+those of every interior of a combination whose value is not cached yet;
+and `cli._verify_batch` walks a whole `verify` batch before any identity
+is evaluated, so that the walks of its `eval_lincomb` calls transform
+nothing.
 
 Combinations are evaluated from the integer sums of `regularise_sums`,
 keyed by the interior v of each convergent integral I(0; v; 1): the
@@ -19,16 +28,16 @@ error by Q and floor-divides by D, which gives the same bits as scaling
 by the reduced fraction Q/D.
 
 A walk keeps the values of the prefixes but not their arrays, so each
-walk restarts from the root.  `verify` therefore walks the whole batch
-once, before any identity is evaluated: `series_keys` collects the
-batch's keys and `walk_series` walks one sorted range of them, in this
-process at `--jobs 1`; at `--jobs K` each range is walked in a pool
-worker, and `load_series` adds each walked `SeriesMemo` to this
-process's memo.  Every identity is then evaluated in the `verify`
-process, because the walk is most of a batch's time: on the 218
-identities of the mixed benchmark batch at 500 digits (278 keys, one
-process, three runs on a 2-core host) `series_keys` took 0.04-0.06 s,
-the walk 0.51-0.70 s and the evaluation 0.13-0.22 s.
+walk restarts from the root.  That is why `verify` walks the whole batch
+once: `series_keys` collects the batch's keys and `walk_series` walks
+one sorted range of them, in this process at `--jobs 1`; at `--jobs K`
+each range is walked in a pool worker, and `load_series` adds each
+walked `SeriesMemo` to this process's memo.  Every identity is then
+evaluated in the `verify` process, because the walk is most of a
+batch's time: on the 218 identities of the mixed benchmark batch at 500
+digits (278 keys, one process, three runs on a 2-core host)
+`series_keys` took 0.04-0.06 s, the walk 0.51-0.70 s and the evaluation
+0.13-0.22 s.
 """
 
 from __future__ import annotations
@@ -111,36 +120,6 @@ def _memo(M: int, F: int) -> dict[tuple[int, ...], int]:
     return _states.setdefault((M, F), {(): 1 << F})
 
 
-def _state_values(keys, M: int, F: int) -> dict[tuple[int, ...], int]:
-    """The memo of g(p; 1/2) * 2^F at (M, F), holding every prefix of `keys`.
-
-    The keys not yet memoised are walked in sorted order, so the keys
-    below a shared prefix are adjacent and the prefix is transformed
-    once; only the arrays of the prefix shared with the next key are
-    held, at most one per letter.  Every key starts with letter 1, where
-    the series starts at g('1'; z).  The arrays are dropped when the call
-    returns, so each call restarts from the root: a prefix memoised by an
-    earlier call is transformed again when a new key lies below it.
-    """
-    memo = _memo(M, F)
-    todo = sorted({k for k in keys if k not in memo})
-    stack: list[list[int]] = []  # arrays of key[:1], key[:2], ...
-    for key, nxt in zip(todo, todo[1:] + [()]):
-        shared = 0
-        while shared < min(len(key), len(nxt)) and key[shared] == nxt[shared]:
-            shared += 1
-        C = stack[-1] if stack else None
-        for j in range(len(stack), len(key)):
-            C = series.g_init(M, F) if j == 0 else series.g_append(C, key[j], M, F)
-            prefix = key[: j + 1]
-            if prefix not in memo:
-                memo[prefix] = series.g_value(C, M, F)
-            if j < shared:
-                stack.append(C)
-        del stack[shared:]
-    return memo
-
-
 @dataclass
 class SeriesMemo:
     """Values g(p; 1/2) * 2^F of series prefixes p at one precision."""
@@ -165,8 +144,36 @@ def series_keys(idents) -> list[tuple[int, ...]]:
 
 
 def walk_series(keys, digits: int) -> SeriesMemo:
-    """Walk the prefixes of `keys` in this process; the memo at `digits`."""
-    return SeriesMemo(digits, _state_values(keys, *_orders(bits_for_digits(digits))))
+    """Walk the prefixes of `keys` in this process; the memo at `digits`.
+
+    The one walk of the package: afterwards the memo holds
+    g(p; 1/2) * 2^F for every prefix p of `keys`.  The keys not yet
+    memoised are walked in sorted order, so the keys below a shared
+    prefix are adjacent and the prefix is transformed once; only the
+    arrays of the prefix shared with the next key are held, at most one
+    per letter.  Every key starts with letter 1, where the series starts
+    at g('1'; z).  The arrays are dropped when the call returns, so each
+    call restarts from the root: a prefix memoised by an earlier call is
+    transformed again when a new key lies below it.
+    """
+    M, F = _orders(bits_for_digits(digits))
+    memo = _memo(M, F)
+    todo = sorted({k for k in keys if k not in memo})
+    stack: list[list[int]] = []  # arrays of key[:1], key[:2], ...
+    for key, nxt in zip(todo, todo[1:] + [()]):
+        shared = 0
+        while shared < min(len(key), len(nxt)) and key[shared] == nxt[shared]:
+            shared += 1
+        C = stack[-1] if stack else None
+        for j in range(len(stack), len(key)):
+            C = series.g_init(M, F) if j == 0 else series.g_append(C, key[j], M, F)
+            prefix = key[: j + 1]
+            if prefix not in memo:
+                memo[prefix] = series.g_value(C, M, F)
+            if j < shared:
+                stack.append(C)
+        del stack[shared:]
+    return SeriesMemo(digits, memo)
 
 
 def load_series(memo: SeriesMemo) -> None:
@@ -175,31 +182,44 @@ def load_series(memo: SeriesMemo) -> None:
 
 
 def eval_word(w: Word, digits: int = DEFAULT_DIGITS) -> BigReal:
-    """Value of the iterated integral of a convergent word."""
+    """Value of the iterated integral of a convergent word, either orientation.
+
+    A word with bounds (1, 0) is read reversed, by
+    I(1; v; 0) = (-1)^|v| I(0; rev v; 1).
+    """
     _check_digits(digits)
     if w.weight and w.is_trivial:
         return BigReal.exact_zero(bits_for_digits(digits))
-    if w.weight and not w.is_convergent:
+    reverse = w.letters[0] == 1 and w.letters[-1] == 0
+    v = w.reversed() if reverse else w
+    if w.weight and not v.is_convergent:
         raise ValueError(f"word {w} is divergent; regularise before evaluating")
     # a weight-0 word has the empty interior: the unit integral, any bounds
-    return _eval_interior(w.interior, digits)
+    walk_series(_keys(v.interior), digits)
+    value = _eval_interior(v.interior, digits)
+    return -value if reverse and w.weight % 2 else value
 
 
 def _eval_interior(a: tuple[int, ...], digits: int) -> BigReal:
-    """I(0; a; 1) for a convergent interior a, memoised in _word_cache."""
-    bits = bits_for_digits(digits)
-    if not a:
-        return BigReal.from_int(1, bits)  # the unit integral, exactly
+    """I(0; a; 1) for a convergent interior a, memoised in _word_cache.
+
+    A pure reader: the caller must have walked `_keys(a)` at `digits`
+    with `walk_series`, and reading a prefix that was never walked
+    raises KeyError.
+    """
     key = (a, digits)
     hit = _word_cache.get(key)
     if hit is not None:
         return hit
+    bits = bits_for_digits(digits)
+    if not a:
+        return BigReal.from_int(1, bits)  # the unit integral, exactly
     M, F = _orders(bits)
+    memo = _memo(M, F)
     pref, suf = _keys(a)
     N = len(pref)
     # prefix g(a_1..a_k; 1/2) and suffix g(flip reverse(a_{k+1}..a_N); 1/2);
     # a factor of j >= 1 letters is off by at most j + tail ulps
-    memo = _state_values((pref, suf), M, F)
     tail = 3 + (1 << (F - M))
     total = 0
     err = 0
@@ -246,7 +266,7 @@ def eval_lincomb(c: LinComb, digits: int = DEFAULT_DIGITS) -> BigReal:
     D, sums = regularise_sums(c)
     bits = bits_for_digits(digits)
     missing = [v for v, _ in sums if (v, digits) not in _word_cache]
-    _state_values([k for v in missing for k in _keys(v)], *_orders(bits))
+    walk_series([k for v in missing for k in _keys(v)], digits)
     man = err = 0
     for (v, pi_exp), q in sums.items():
         value = _eval_interior(v, digits)

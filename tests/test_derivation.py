@@ -62,6 +62,20 @@ class TestCanonicalWord:
         assert rep.letters == min(orbit)
         assert sign in (-1, 1)
 
+    def test_sign_zero_when_the_symmetries_conflict(self):
+        # 010 is its own reverse, which carries the sign -1 at odd length
+        assert canonical_word(word("010")) == (word("010"), 0)
+
+    def test_cuts_never_get_sign_zero(self):
+        # every cut of d_r: odd length r + 2 and distinct end letters
+        count = 0
+        for length in range(3, 16, 2):
+            for w in all_words(length):
+                if w.letters[0] != w.letters[-1]:
+                    count += 1
+                    assert canonical_word(w)[1] != 0, w
+        assert count == 21844
+
     def test_sign_law(self):
         # reversal and dual flip the sign exactly for odd letter length
         rng = random.Random(5)

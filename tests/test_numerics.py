@@ -74,6 +74,27 @@ class TestBigReal:
         x = BigReal.from_fraction(Fraction(1, 10**25), bits)
         assert 20 <= x.digits_matched() <= 25
 
+    @settings(max_examples=300, deadline=None)
+    @example(man=0, bits=64, err=0)
+    @example(man=1 << 64, bits=64, err=0)
+    @example(man=(1 << 64) // 10**5, bits=64, err=0)
+    @example(man=(1 << 64) // 10**5 + 1, bits=64, err=0)
+    @given(
+        man=st.integers(0, 6720).flatmap(lambda n: st.integers(-(1 << n), 1 << n)),
+        bits=st.integers(50, 6700),
+        err=st.integers(0, 1 << 40),
+    )
+    def test_digits_matched_closed_form(self, man, bits, err):
+        """The closed form against the loop that counted digit by digit."""
+        bound = abs(man) + err
+        if bound == 0:
+            expected = 10**6
+        else:
+            expected, scale = 0, 1 << bits
+            while bound * 10 ** (expected + 1) < scale and expected < 10**6:
+                expected += 1
+        assert BigReal(man, bits, err).digits_matched() == expected
+
 
 class TestPi:
     def test_against_mpmath(self):
@@ -141,6 +162,55 @@ class TestEvalMzv:
         assert (lo - hi).abs_at_most(lo.err_fraction() * 2)
 
 
+class TestEvalWord:
+    def test_words_of_either_orientation(self):
+        """Every word eval_word accepts matches its regularisation within
+        both error bounds; every other word is rejected by its own name."""
+        accepted = from_one = 0
+        for length in range(2, 13):
+            for w in all_words(length):
+                oriented = w.reversed() if w.letters[0] == 1 else w
+                if w.weight and not w.is_trivial and not oriented.is_convergent:
+                    with pytest.raises(ValueError, match=f"word {w} is divergent"):
+                        eval_word(w, 20)
+                    continue
+                accepted += 1
+                from_one += w.letters[0] == 1
+                val = eval_word(w, 20)
+                ref = eval_lincomb(regularise_word(w), 20)
+                assert val.bits == ref.bits
+                assert abs(val.man - ref.man) <= val.err + ref.err, w
+        assert (accepted, from_one) == (5118, 2559)
+
+    def test_bounds_one_zero(self):
+        # I(1; 0 1; 0) = I(0; 1 0; 1) = -zeta(2), and
+        # I(1; 0 0 1; 0) = -I(0; 1 0 0; 1) = zeta(3)
+        assert (eval_word(word("1010"), 30) + eval_mzv(zc(2), 30)).abs_at_most(
+            Fraction(1, 10**30)
+        )
+        assert (eval_word(word("10010"), 30) - eval_mzv(zc(3), 30)).abs_at_most(
+            Fraction(1, 10**30)
+        )
+
+    @pytest.mark.parametrize("text", ["000", "0110", "1001", "1111111"])
+    def test_trivial_word_is_exactly_zero(self, text):
+        assert eval_word(word(text), 20) == BigReal.exact_zero(bits_for_digits(20))
+
+    def test_reading_needs_a_walk(self):
+        from blockzeta import numerics
+
+        numerics.reset_caches()
+        try:
+            # the unit integral is read without a walk, exactly
+            assert numerics._eval_interior((), 20) == BigReal.from_int(1, bits_for_digits(20))
+            with pytest.raises(KeyError):
+                numerics._eval_interior((1, 0), 20)
+            numerics.walk_series(numerics._keys((1, 0)), 20)
+            assert numerics._eval_interior((1, 0), 20) == -eval_mzv(zc(2), 20)
+        finally:
+            numerics.reset_caches()
+
+
 class TestAlgebraNumericsConsistency:
     def test_regularise_duality_invariance(self):
         # regularised values satisfy I(w) = (-1)^N I(dual w); the exact
@@ -206,6 +276,15 @@ class TestVerify:
         z2z3 = zeta_value(2, 35) * zeta_value(3, 35)
         resid = rep.residual
         assert (resid - z2z3 - z2z3).abs_at_most(Fraction(1, 10**28))
+
+    def test_inconclusive_known_rhs(self):
+        # zeta(3) = zeta(1,2), but at 10 digits the error bound of
+        # 10^20 (zeta(3) - zeta(1,2)) is 4 * 10^20 ulps: neither verified
+        # nor refuted
+        Q = 10**20
+        lhs = LinComb.term(zc(3), Q) - LinComb.term(zc(1, 2), Q)
+        ident = Identity("cyclic-basic", {}, 3, lhs, PiRational(Fraction(0)))
+        assert verify(ident, 10).status == "inconclusive"
 
     def test_weight_ceiling(self):
         from blockzeta.numerics import MAX_WEIGHT

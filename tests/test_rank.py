@@ -15,7 +15,7 @@ from blockzeta.identities import (
     gen_cyclic_full,
     gen_hoffman,
 )
-from blockzeta.linalg import MERSENNE_61, rank_certificate, rank_of
+from blockzeta.linalg import MERSENNE_61, _primes, rank_certificate, rank_of
 from blockzeta.lincomb import LinComb, PiRational
 from blockzeta.numerics import eval_mzv
 from blockzeta.rank import (
@@ -292,6 +292,17 @@ class TestRankOf:
         assert cert.pivots == (0,) and MERSENNE_61 in cert.rejected
         (vec,) = cert.kernel
         assert vec[1] == -p * vec[0]
+
+    def test_disagreeing_prime_is_rejected(self):
+        # kernel entries near 2^40 need two primes to reconstruct; the
+        # second row vanishes modulo the second prime, where the rank drops
+        p1, p2, p3 = itertools.islice(_primes(), 3)
+        A, B = 2**40 + 3, 2**40 + 7
+        rows = _frac_rows([[1, 0, -A], [0, p2, -p2 * B], [1, p2, -A - p2 * B]])
+        cert = rank_certificate(rows)
+        assert cert.rank == 2 == _bareiss_rank(rows)
+        assert cert.primes == (p1, p3) and cert.rejected == (p2,)
+        assert cert.kernel == ((A, B, 1),)
 
     def test_reconstruction_needs_several_primes(self):
         # the echelon entry 5^30 / 3^40 needs a modulus above 2^134
