@@ -127,6 +127,23 @@ class TestEvalMzv:
             val = eval_mzv(zc(n), 50)
             assert abs(as_mp(val) - mpmath.zeta(n)) < mpmath.mpf(10) ** -50
 
+    @pytest.mark.parametrize("digits", [500, 2000])
+    def test_within_own_error_bound_against_mpmath(self, digits):
+        # the series kernel tapers its coefficients most at 2000 digits;
+        # 01101 is zeta(1,2) = zeta(3), and 10110 the same integral with
+        # bounds (1, 0), which is -zeta(3)
+        with mpmath.workdps(digits + 50):
+            z3 = mpmath.zeta(3)
+            cases = [
+                (eval_mzv(zc(3), digits), z3),
+                (eval_mzv(zc(5), digits), mpmath.zeta(5)),
+                (eval_word(word("01101"), digits), z3),
+                (eval_word(word("10110"), digits), -z3),
+            ]
+            for val, exact in cases:
+                err = val.err_fraction()
+                assert abs(as_mp(val) - exact) <= mpmath.mpf(err.numerator) / err.denominator
+
     def test_zeta13_zagier(self):
         val = eval_mzv(zc(1, 3), 50)
         target = pi_power(4, val.bits).mul_fraction(Fraction(1, 360))
@@ -398,36 +415,47 @@ class TestKernels:
         assert C[1:6] == [
             0,
             0,
-            -73845999765828659605767058904463588,
-            -76153687258510805218447279495228075,
-            -66830629788074936943219188308539547,
+            -4726143985013034214769091769885669604,
+            -2436917992272345766990312943847298390,
+            -1069290076609198991091507012936632748,
         ]
-        assert C[self.M] == -1195438842141846629372485687247700
-        assert sum(C) == -823482540903065334335003295141026424
+        assert C[self.M] == -506288042861
+        assert sum(C) == -9028528151476060180223170141158196228
 
-    def test_matches_exact_truncated_series(self):
+    @settings(max_examples=200, deadline=None)
+    @given(
+        letters=st.lists(st.integers(0, 1), max_size=8),
+        M=st.integers(8, 200),
+        offset=st.sampled_from([0, 3, 8, 40]),
+    )
+    @example(letters=list(LETTERS), M=M, offset=F - M)
+    @example(letters=[1] * 8, M=200, offset=8)  # _orders' F - M
+    @example(letters=[0, 1] * 4, M=8, offset=0)
+    def test_matches_exact_truncated_series(self, letters, M, offset):
         # the same truncated series in exact arithmetic: letter 0 divides
         # c_n by n, letter 1 is d_{m+1} = -(c_1 + ... + c_m)/(m+1)
-        M, F = self.M, self.F
+        from blockzeta import series
+
+        F = M + offset
         C = [Fraction(0)] + [Fraction(-1, n) for n in range(1, M + 1)]
-        exact = [C]
-        for bit in self.LETTERS:
-            D = [Fraction(0)] * (M + 1)
-            if bit == 0:
-                for n in range(1, M + 1):
-                    D[n] = C[n] / n
-            else:
-                s = Fraction(0)
-                for m in range(1, M):
-                    s += C[m]
-                    D[m + 1] = -s / (m + 1)
-            C = D
-            exact.append(C)
-        _, values = self._run()
-        for k, (coeffs, value) in enumerate(zip(exact, values), start=1):
-            target = sum(c / 2**n for n, c in enumerate(coeffs)) * 2**F
+        K = series.g_init(M, F)
+        for k in range(1, len(letters) + 2):
+            if k > 1:
+                bit = letters[k - 2]
+                D = [Fraction(0)] * (M + 1)
+                if bit == 0:
+                    for n in range(1, M + 1):
+                        D[n] = C[n] / n
+                else:
+                    s = Fraction(0)
+                    for m in range(1, M):
+                        s += C[m]
+                        D[m + 1] = -s / (m + 1)
+                C = D
+                K = series.g_append(K, bit, M, F)
+            target = sum(c / 2**n for n, c in enumerate(C)) * 2**F
             # eval_word budgets k + 3 ulps for a factor of k letters
-            assert abs(value - target) <= k + 3
+            assert abs(series.g_value(K, M, F) - target) <= k + 3
 
 
 # --------------------------------------------------------------------------
@@ -588,6 +616,34 @@ class TestSharedPrefixes:
         }[evaluate]
         with pytest.raises(ValueError, match="need digits >= 10|beyond the configured ceiling"):
             evaluate(arg, digits)
+
+    @pytest.mark.parametrize("digits", [10.5, 30.0, "20", True, Fraction(20)])
+    @pytest.mark.parametrize(
+        "evaluate", [eval_word, eval_mzv, eval_lincomb, zeta_value, verify]
+    )
+    def test_digits_must_be_an_integer(self, evaluate, digits):
+        # a non-int precision must not reach a cache key or Fraction
+        from blockzeta.identities import gen_hoffman
+
+        arg = {
+            eval_word: word("0101"),
+            eval_mzv: zc(3),
+            eval_lincomb: LinComb.term(zc(2)),
+            zeta_value: 3,
+            verify: gen_hoffman(0, 0, 0),
+        }[evaluate]
+        with pytest.raises(ValueError, match="digits must be an integer"):
+            evaluate(arg, digits)
+
+    @pytest.mark.parametrize("max_den", [2.5, 1e6, "1000", True])
+    def test_max_den_must_be_an_integer(self, max_den):
+        from blockzeta.identities import gen_hoffman
+
+        x = BigReal.from_fraction(Fraction(1, 2), bits_for_digits(60))
+        with pytest.raises(ValueError, match="max_den must be an integer"):
+            recognize_rational(x, max_den)
+        with pytest.raises(ValueError, match="max_den must be an integer"):
+            verify(gen_hoffman(0, 0, 0), 20, max_den)
 
 
 # --------------------------------------------------------------------------
