@@ -56,85 +56,80 @@ from .words import (
     ZetaComposition,
     block_decompose,
     mzv_to_word,
+    parse_ints,
     word_of,
     word_to_mzv,
 )
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    if not text:
-        return ()
-    return tuple(int(p.strip()) for p in text.split(","))
+def _ints(text: str, need: int = 0) -> tuple[int, ...]:
+    """A comma-separated integer option; `need` is the count hoffman's --b must have."""
+    out = parse_ints(text, "integer") if text else ()
+    if need and len(out) != need:
+        raise ParseError("hoffman needs --b b1,b2,b3", 0)
+    return out
 
 
 def _tokens(text: str) -> tuple[str, ...]:
-    out = []
-    rest = text.strip()
-    while rest:
-        if rest.startswith("(1,2)"):
+    s = text.rstrip()
+    out, i = [], len(s) - len(s.lstrip())
+    while i < len(s):
+        if s.startswith("(1,2)", i):
             out.append("T")
-            rest = rest[5:]
-        elif rest[0] in "13":
-            out.append(rest[0])
-            rest = rest[1:]
-        elif rest[0] in ", ":
-            rest = rest[1:]
+            i += 5
+        elif s[i] in "13":
+            out.append(s[i])
+            i += 1
+        elif s[i] in ", ":
+            i += 1
         else:
-            raise ParseError(f"invalid 123 argument string near {rest[:6]!r}", 0)
+            raise ParseError(f"invalid 123 argument string near {s[i:i + 6]!r}", i)
     return tuple(out)
 
 
+# family -> its identity from the parsed options.  Each builder looks its
+# generator up in this module when called, so a rebound gen_* is the one run.
+BUILDERS = {
+    "symmetric": lambda a: gen_symmetric(BlockDecomposition(0, _ints(a.lengths))),
+    "cyclic-basic": lambda a: gen_cyclic_basic(_ints(a.lengths)),
+    "cyclic-full": lambda a: gen_cyclic_full(_ints(a.lengths), mode=a.mode),
+    "bbbl": lambda a: gen_bbbl(_ints(a.b)),
+    "hoffman": lambda a: gen_hoffman(*_ints(a.b, need=3)),
+    "general-hoffman": lambda a: gen_general_hoffman(a.n, _ints(a.b), a.c),
+    "cyc123": lambda a: gen_cyc123(Zeta123Form(_tokens(a.a), _ints(a.b))),
+    "altodd-even": lambda a: gen_altodd_even(_ints(a.lengths)),
+    "altodd-odd": lambda a: gen_altodd_odd(_ints(a.lengths), a.x),
+    "double-alt": lambda a: gen_double_alt(_ints(a.lengths)),
+    "bowman-bradley": lambda a: gen_composition_sums("bowman-bradley", a.m, a.n),
+    "z1333-compsum": lambda a: gen_composition_sums("z1333-compsum", a.m, a.n),
+    "further-13332n": lambda a: gen_composition_sums("further-13332n", a.m, a.n),
+    "z13312-sym": lambda a: gen_z13312_sym(_ints(a.b)),
+    "thm-2-7-1": lambda a: gen_thm_2_7_1(a.m),
+}
+
+
 def build_identity(args) -> Identity:
-    fam = args.family
-    if fam == "symmetric":
-        return gen_symmetric(BlockDecomposition(0, _ints(args.lengths)))
-    if fam == "cyclic-basic":
-        return gen_cyclic_basic(_ints(args.lengths))
-    if fam == "cyclic-full":
-        return gen_cyclic_full(_ints(args.lengths), mode=args.mode)
-    if fam == "bbbl":
-        return gen_bbbl(_ints(args.b))
-    if fam == "hoffman":
-        b = _ints(args.b)
-        if len(b) != 3:
-            raise ParseError("hoffman needs --b b1,b2,b3", 0)
-        return gen_hoffman(*b)
-    if fam == "general-hoffman":
-        return gen_general_hoffman(args.n, _ints(args.b), args.c)
-    if fam == "cyc123":
-        return gen_cyc123(Zeta123Form(_tokens(args.a), _ints(args.b)))
-    if fam in ("bowman-bradley", "z1333-compsum", "further-13332n"):
-        return gen_composition_sums(fam, args.m, args.n)
-    if fam == "z13312-sym":
-        return gen_z13312_sym(_ints(args.b))
-    if fam == "thm-2-7-1":
-        return gen_thm_2_7_1(args.m)
-    if fam == "altodd-even":
-        return gen_altodd_even(_ints(args.lengths))
-    if fam == "altodd-odd":
-        return gen_altodd_odd(_ints(args.lengths), args.x)
-    if fam == "double-alt":
-        return gen_double_alt(_ints(args.lengths))
-    raise ParseError(f"unknown family {fam!r}", 0)
+    if args.family not in BUILDERS:
+        raise ParseError(f"unknown family {args.family!r}", 0)
+    return BUILDERS[args.family](args)
+
+
+def _emit(args, payload, text) -> None:
+    """Print one result: `payload` as JSON under `--format json`, else `text`."""
+    print(serial.dumps(payload) if args.format == "json" else text)
 
 
 def cmd_decompose(args) -> int:
     w = Word.parse(args.word)
     B = block_decompose(w)
-    if args.format == "json":
-        print(serial.dumps({"word": str(w), "blocks": str(B), "weight": B.weight}))
-    else:
-        print(B)
+    _emit(args, {"word": str(w), "blocks": str(B), "weight": B.weight}, B)
     return 0
 
 
 def cmd_word(args) -> int:
     B = BlockDecomposition.parse(args.blocks)
     w = word_of(B)
-    if args.format == "json":
-        print(serial.dumps({"blocks": str(B), "word": str(w)}))
-    else:
-        print(w)
+    _emit(args, {"blocks": str(B), "word": str(w)}, w)
     return 0
 
 
@@ -143,26 +138,21 @@ def cmd_mzv(args) -> int:
     if text.startswith("z("):
         comp = ZetaComposition.parse(text)
         w, sign = mzv_to_word(comp)
-        payload = {"zeta": str(comp), "word": str(w), "sign": sign}
-        line = f"{w} sign {sign:+d}"
+        shown = w
     else:
         w = Word.parse(text)
         comp, sign = word_to_mzv(w)
-        payload = {"word": str(w), "zeta": str(comp), "sign": sign}
-        line = f"{comp} sign {sign:+d}"
-    print(serial.dumps(payload) if args.format == "json" else line)
+        shown = comp
+    _emit(args, {"word": str(w), "zeta": str(comp), "sign": sign}, f"{shown} sign {sign:+d}")
     return 0
 
 
 def cmd_regularise(args) -> int:
-    w = Word.parse(args.word)
-    comb = regularise_word(w)
-    if args.format == "json":
-        print(serial.dumps(serial.lincomb_to_json(comb)))
-    elif args.format == "latex":
+    comb = regularise_word(Word.parse(args.word))
+    if args.format == "latex":
         print(serial.lincomb_to_latex(comb))
     else:
-        print(comb)
+        _emit(args, serial.lincomb_to_json(comb), comb)
     return 0
 
 
@@ -170,11 +160,8 @@ def cmd_generate(args) -> int:
     ident = build_identity(args)
     if args.format == "latex":
         print(serial.identity_to_latex(ident))
-    elif args.format == "text":
-        print(ident.describe())
-        print("lhs =", ident.lhs)
     else:
-        print(serial.dumps(serial.identity_to_json(ident)))
+        _emit(args, serial.identity_to_json(ident), f"{ident.describe()}\nlhs = {ident.lhs}")
     return 0
 
 
@@ -220,15 +207,9 @@ def cmd_verify(args) -> int:
     # a fork pool starts all its workers at once: no more than can run
     workers = min(args.jobs, len(idents), os.cpu_count() or 1)
     reports = _verify_batch(idents, args.digits, args.max_den, workers)
-    worst = 0
     for rep in reports:
-        if args.format == "json":
-            print(serial.dumps(serial.report_to_json(rep)))
-        else:
-            print(rep)
-        if rep.status == "refuted":
-            worst = 1
-    return worst
+        _emit(args, serial.report_to_json(rep), rep)
+    return 1 if any(rep.status == "refuted" for rep in reports) else 0
 
 
 def cmd_dkernel(args) -> int:
@@ -239,8 +220,7 @@ def cmd_dkernel(args) -> int:
             f"grade must be 0 or an odd r with 3 <= r < {weight}, got {args.grade}"
         )
     if args.set == "closure":
-        S = reflective_closure([BlockDecomposition(0, lengths)])
-        comb = closure_comb(S)
+        comb = closure_comb(reflective_closure([BlockDecomposition(0, lengths)]))
     elif args.set == "cyclic":
         comb = ident_mod.cyclic_sum(lengths)
     else:  # "symmetric", the last choice the parser allows
@@ -248,29 +228,15 @@ def cmd_dkernel(args) -> int:
     report = kernel_report(comb)
     residue = report.residue
     if args.grade:
-        residue = LinComb(
-            {t: c for t, c in residue.items() if t.grade == args.grade}
-        )
+        residue = LinComb({t: c for t, c in residue.items() if t.grade == args.grade})
     if args.collapse:
         residue = collapse_cyclic_rights(residue)
-    if args.format == "json":
-        print(
-            serial.dumps(
-                {
-                    "vanishes": report.vanishes,
-                    "weight": report.weight,
-                    "conclusion": report.conclusion,
-                    "residue": serial.residue_to_json(residue),
-                }
-            )
-        )
-    else:
-        print(report.conclusion)
-        for item in serial.residue_to_json(residue):
-            print(
-                f"  grade {item['grade']}: {item['coeff']} * "
-                f"{item['left_word']} (x) {item['right_word']}"
-            )
+    items = serial.residue_to_json(residue)
+    lines = [f"  grade {i['grade']}: {i['coeff']} * {i['left_word']} (x) {i['right_word']}"
+             for i in items]
+    payload = {"vanishes": report.vanishes, "weight": report.weight,
+               "conclusion": report.conclusion, "residue": items}
+    _emit(args, payload, "\n".join([report.conclusion, *lines]))
     return 0
 
 
@@ -285,19 +251,15 @@ def cmd_rank(args) -> int:
         print(serial.dumps(out))
         return 0
     row = table_row(args.weight, families)
-    if args.format == "json":
-        out = {"weight": row.weight, "overall": row.overall, "expected": row.expected}
-        for family, (init, rank) in row.families.items():
-            out[family] = {"init": init, "rank": rank}
-        print(serial.dumps(out))
-        return 0
+    out = {"weight": row.weight, "overall": row.overall, "expected": row.expected}
     parts = [f"weight {row.weight}:"]
     for family, (label, _) in FAMILIES.items():
         if family in row.families:
             init, rank = row.families[family]
+            out[family] = {"init": init, "rank": rank}
             parts.append(f"{label} {init}/{rank}")
     parts += [f"overall {row.overall}", f"expected {row.expected}"]
-    print("  ".join(parts))
+    _emit(args, out, "  ".join(parts))
     return 0
 
 

@@ -95,7 +95,7 @@ class Identity:
 def _nontrivial_block(lengths: tuple[int, ...]) -> BlockDecomposition:
     B = BlockDecomposition(0, tuple(lengths))
     if B.is_trivial:
-        raise ValueError(f"(0; {lengths}) is trivial: weight and block count match mod 2")
+        raise ValueError(f"{B} is trivial: weight and block count match mod 2")
     return B
 
 

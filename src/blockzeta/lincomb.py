@@ -104,6 +104,10 @@ class LinComb:
     def items(self) -> Iterator[tuple[TermKey, PiRational]]:
         return iter(self._terms.items())
 
+    def sorted_items(self) -> list[tuple[TermKey, PiRational]]:
+        """The terms ordered by the text of their keys, as every printout lists them."""
+        return sorted(self._terms.items(), key=lambda kv: str(kv[0]))
+
     def keys(self):
         return self._terms.keys()
 
@@ -152,10 +156,7 @@ class LinComb:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        parts = []
-        for k, v in sorted(self._terms.items(), key=lambda kv: str(kv[0])):
-            parts.append(f"({v})*{k}")
-        return " + ".join(parts)
+        return " + ".join(f"({v})*{k}" for k, v in self.sorted_items())
 
     def __repr__(self) -> str:
         return f"LinComb({len(self._terms)} terms)"

@@ -30,7 +30,7 @@ def term_from_string(kind: str, text: str):
 
 def lincomb_to_json(c: LinComb) -> list[dict]:
     out = []
-    for key, coeff in sorted(c.items(), key=lambda kv: str(kv[0])):
+    for key, coeff in c.sorted_items():
         kind, text = term_to_string(key)
         out.append(
             {
@@ -137,7 +137,7 @@ def identity_from_json(data: dict) -> Identity:
 
 def residue_to_json(residue: LinComb) -> list[dict]:
     out = []
-    for key, coeff in sorted(residue.items(), key=lambda kv: str(kv[0])):
+    for key, coeff in residue.sorted_items():
         if not isinstance(key, TensorTerm):
             raise TypeError("residues consist of tensor terms")
         out.append(
@@ -186,7 +186,7 @@ def lincomb_to_latex(c: LinComb) -> str:
     if c.is_zero:
         return "0"
     parts = []
-    for key, coeff in sorted(c.items(), key=lambda kv: str(kv[0])):
+    for key, coeff in c.sorted_items():
         term = term_to_latex(key)
         q = coeff.coeff
         if coeff.pi_exp == 0 and abs(q) == 1:

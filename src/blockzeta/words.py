@@ -114,6 +114,23 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def parse_ints(text: str, what: str, offset: int = 0) -> tuple[int, ...]:
+    """The integers of a comma-separated list, each entry stripped.
+
+    A bad entry raises ParseError naming `what` and the entry, at the
+    position where the entry starts, counted from `offset` (where `text`
+    sits in the string the caller parses).
+    """
+    out = []
+    for part in text.split(","):
+        try:
+            out.append(int(part.strip()))
+        except ValueError:
+            raise ParseError(f"bad {what} {part.strip()!r}", offset) from None
+        offset += len(part) + 1
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class BlockDecomposition:
     """Starting letter plus the lengths of the maximal alternating blocks."""
@@ -145,15 +162,7 @@ class BlockDecomposition:
             eps = int(head.strip())
         except ValueError:
             raise ParseError(f"bad starting letter {head.strip()!r}", 1) from None
-        lengths = []
-        offset = s.index(";") + 1
-        for part in tail.split(","):
-            try:
-                lengths.append(int(part.strip()))
-            except ValueError:
-                raise ParseError(f"bad block length {part.strip()!r}", offset) from None
-            offset += len(part) + 1
-        return cls(eps, tuple(lengths))
+        return cls(eps, parse_ints(tail, "block length", s.index(";") + 1))
 
     def __str__(self) -> str:
         return f"({self.eps1}; {','.join(str(l) for l in self.lengths)})"
@@ -244,15 +253,7 @@ class ZetaComposition:
         body = s[2:-1].strip()
         if not body:
             return cls(())
-        args = []
-        offset = 2
-        for part in body.split(","):
-            try:
-                args.append(int(part.strip()))
-            except ValueError:
-                raise ParseError(f"bad zeta argument {part.strip()!r}", offset) from None
-            offset += len(part) + 1
-        return cls(tuple(args))
+        return cls(parse_ints(body, "zeta argument", 2))
 
     def __str__(self) -> str:
         return f"z({','.join(str(a) for a in self.args)})"

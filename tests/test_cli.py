@@ -2,6 +2,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -20,6 +21,8 @@ from blockzeta.identities import gen_cyclic_full, gen_hoffman, gen_symmetric
 from blockzeta.rank import FAMILIES, cyclic_family
 from blockzeta.regalgebra import regularise
 from blockzeta.words import BlockDecomposition, mzv_to_word, zc
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def invoke(capsys, *argv):
@@ -104,6 +107,105 @@ class TestConversions:
     def test_parse_error_exit_2(self, capsys):
         code, _, err = invoke(capsys, "decompose", "01x1")
         assert code == 2 and "error" in err
+
+
+# one known-good set of options per family, in the order of identities.FAMILIES
+FAMILY_OPTIONS = {
+    "symmetric": ("--lengths", "2,3,3"),
+    "cyclic-basic": ("--lengths", "2,3,3"),
+    "cyclic-full": ("--lengths", "1,1,2,3"),
+    "bbbl": ("--b", "1,0,2"),
+    "hoffman": ("--b", "0,0,2"),
+    "general-hoffman": ("--n", "1", "--b", "0,0", "--c", "0"),
+    "cyc123": ("--a", "13", "--b", "0,0,0"),
+    "altodd-even": ("--lengths", "2,3,3"),
+    "altodd-odd": ("--lengths", "1,2,3,2", "--x", "5"),
+    "double-alt": ("--lengths", "2,3,2,4"),
+    "bowman-bradley": ("--m", "2", "--n", "1"),
+    "z1333-compsum": ("--m", "1"),
+    "further-13332n": ("--m", "2"),
+    "z13312-sym": ("--b", "0,0,0,0,0"),
+    "thm-2-7-1": ("--m", "1"),
+}
+# a value for each family option that differs from every value above
+OTHER_VALUES = {
+    "--lengths": "4,4,4", "--b": "9", "--a": "3", "--m": "7", "--n": "3",
+    "--x": "9", "--c": "5", "--mode": "symbolic",
+}
+
+
+def readme_families() -> dict[str, set[str]]:
+    """README's generation-family list: each family, with the options it reads."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("Generation families", 1)[1].split("\n\n", 2)[1]
+    families = {}
+    for line in section.splitlines():
+        name, _, rest = line.removeprefix("- `").partition("`:")
+        families[name] = set(re.findall(r"`(--[a-z]+)`", rest))
+    return families
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("family", IDENTITY_FAMILIES)
+    @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+    def test_every_family_generates(self, capsys, family, fmt):
+        code, out, err = invoke(capsys, "generate", family, *FAMILY_OPTIONS[family], "--format", fmt)
+        assert (code, err) == (0, "") and out.strip()
+        if fmt == "json":
+            assert json.loads(out)["family"] == family
+
+    def test_table_covers_every_family(self):
+        assert tuple(cli.BUILDERS) == IDENTITY_FAMILIES == tuple(FAMILY_OPTIONS)
+
+    def test_readme_lists_every_family_in_order(self):
+        assert tuple(readme_families()) == IDENTITY_FAMILIES
+
+    @pytest.mark.parametrize("family", IDENTITY_FAMILIES)
+    def test_options_a_family_does_not_read_are_ignored(self, capsys, family):
+        # README names the options each family reads; changing any other one
+        # leaves its identity as it was
+        reads = readme_families()[family]
+        options = dict(zip(FAMILY_OPTIONS[family][::2], FAMILY_OPTIONS[family][1::2]))
+        assert set(options) <= reads
+        others = [x for opt, value in OTHER_VALUES.items() if opt not in reads for x in (opt, value)]
+        _, expected, _ = invoke(capsys, "generate", family, *FAMILY_OPTIONS[family])
+        code, out, err = invoke(capsys, "generate", family, *FAMILY_OPTIONS[family], *others)
+        assert (code, out, err) == (0, expected, "")
+
+
+class TestOptionMessages:
+    def test_trivial_blocks_are_printed_in_block_notation(self, capsys):
+        for family in ("cyclic-basic", "altodd-even"):
+            code, out, err = invoke(capsys, "generate", family, "--lengths", "2,3,4")
+            assert (code, out) == (2, "")
+            assert err == "error: (0; 2,3,4) is trivial: weight and block count match mod 2\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("generate", "hoffman", "--b", "0,0,x"), "bad integer 'x' (at position 4)"),
+            (("generate", "bbbl", "--b", "1, 2,,3"), "bad integer '' (at position 5)"),
+            (
+                ("verify", "--family", "symmetric", "--lengths", "2,3.5"),
+                "bad integer '3.5' (at position 2)",
+            ),
+            (("dkernel", "--lengths", "2,x,3"), "bad integer 'x' (at position 2)"),
+            (
+                ("generate", "cyc123", "--a", "1,2", "--b", "0,0,0"),
+                "invalid 123 argument string near '2' (at position 2)",
+            ),
+            (
+                ("generate", "cyc123", "--a", "  13,(1,2)x ", "--b", "0,0,0"),
+                "invalid 123 argument string near 'x' (at position 10)",
+            ),
+            (
+                ("generate", "cyc123", "--a", "(1,3)", "--b", "0,0"),
+                "invalid 123 argument string near '(1,3)' (at position 0)",
+            ),
+        ],
+    )
+    def test_a_bad_entry_is_named_with_its_position(self, capsys, argv, message):
+        assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestGenerateVerify:

@@ -590,7 +590,7 @@ def cyclic_basic_oracle(lengths) -> Identity:
         raise ValueError("cyclic insertion on a single block is a tautology")
     B = BlockDecomposition(0, lengths)
     if B.is_trivial:
-        raise ValueError(f"(0; {lengths}) is trivial: weight and block count match mod 2")
+        raise ValueError(f"{B} is trivial: weight and block count match mod 2")
     if has_cyclic_adjacent_ones(lengths):
         raise ValueError(f"{lengths} has cyclically adjacent (1,1); use the full version")
     N = B.weight

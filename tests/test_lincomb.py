@@ -37,3 +37,9 @@ class TestMapTerms:
         assert LinComb().map_terms(lambda k: LinComb.term(k)).is_zero
         comb = LinComb.term(word("0101"), 3)
         assert comb.map_terms(lambda k: LinComb()).is_zero
+
+
+def test_sorted_items_orders_by_key_text():
+    comb = LinComb({zc(3, 2): 2, word("0101"): -1, zc(2): PiRational(Fraction(1, 6), 2)})
+    assert [str(k) for k, _ in comb.sorted_items()] == ["0101", "z(2)", "z(3,2)"]
+    assert str(comb) == "(-1)*0101 + (1/6*pi^2)*z(2) + (2)*z(3,2)"

@@ -22,6 +22,7 @@ from blockzeta.words import (
     distinct_orderings,
     interior_to_mzv,
     mzv_to_word,
+    parse_ints,
     word,
     word_of,
     word_to_mzv,
@@ -247,6 +248,30 @@ class TestTextFormats:
         assert str(comp) == "z(1,3)"
         with pytest.raises(ParseError):
             ZetaComposition.parse("zeta(1)")
+
+    def test_parse_ints(self):
+        assert parse_ints("3", "x") == (3,)
+        assert parse_ints(" 1, -2 ,+3", "x") == (1, -2, 3)
+        with pytest.raises(ParseError, match=r"^bad entry 'x' \(at position 5\)$"):
+            parse_ints("1, 2,x", "entry")
+        with pytest.raises(ParseError) as err:
+            parse_ints("1,,2", "entry", offset=10)
+        assert (str(err.value), err.value.pos) == ("bad entry '' (at position 12)", 12)
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (BlockDecomposition.parse, "(0; 1,x)", "bad block length 'x' (at position 6)"),
+            (BlockDecomposition.parse, " (1;2, 3 ,y) ", "bad block length 'y' (at position 9)"),
+            (BlockDecomposition.parse, "(0;)", "bad block length '' (at position 3)"),
+            (ZetaComposition.parse, "z(1,a)", "bad zeta argument 'a' (at position 4)"),
+            (ZetaComposition.parse, "z(2, ,3)", "bad zeta argument '' (at position 4)"),
+        ],
+    )
+    def test_list_entries_are_named_with_their_position(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
