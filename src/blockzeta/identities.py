@@ -326,7 +326,7 @@ def gen_composition_sums(kind: str, m: int, n: int = 1) -> Identity:
     """Composition-sum families: Bowman-Bradley and the z1333 variants."""
     if not (is_int(m) and is_int(n)):
         raise ValueError(f"composition sums need integer m, n, got m={m!r}, n={n!r}")
-    if m < 0 or n < 0:
+    if m < 0 or (kind == "bowman-bradley" and n < 0):
         raise ValueError(f"composition sums need m, n >= 0, got m={m}, n={n}")
     if kind == "bowman-bradley":
         lhs = combine(

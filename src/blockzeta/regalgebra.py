@@ -13,6 +13,9 @@ sum, with their sign (-1)^depth, and converts to PiRational for its
 output.  The recursion terminates because each divergence expansion
 yields words with a 1 next to the lower bound, and at most one duality
 step re-exposes leading zeros.
+
+stuffle(s, t) is the one harmonic product, on argument tuples;
+stuffle_depth1, which rank.vectorize calls, is its depth-1 case.
 """
 
 from __future__ import annotations
@@ -180,6 +183,22 @@ def shuffle_interiors(u: tuple[int, ...], v: tuple[int, ...]) -> dict[tuple[int,
     return out
 
 
+def stuffle(s: tuple[int, ...], t: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """zeta(s) * zeta(t) by the harmonic product, as {arguments: multiplicity}.
+
+    A term starts with s_1, s_1 + t_1 or t_1 and goes on with a term of the
+    product of what is left; an empty tuple is the unit.
+    """
+    if not s or not t:
+        return {s + t: 1}
+    out: dict[tuple[int, ...], int] = {}
+    for head, rest in ((s[0], stuffle(s[1:], t)), (s[0] + t[0], stuffle(s[1:], t[1:])),
+                       (t[0], stuffle(s, t[1:]))):
+        for args, mult in rest.items():
+            out[(head,) + args] = out.get((head,) + args, 0) + mult
+    return out
+
+
 def shuffle_words(u: tuple[int, ...], v: tuple[int, ...]) -> LinComb:
     """I(0;u;1) * I(0;v;1) as a sum of words; u, v are interiors.
 
@@ -199,18 +218,13 @@ def shuffle_words(u: tuple[int, ...], v: tuple[int, ...]) -> LinComb:
 
 
 def stuffle_depth1(n: int, s: ZetaComposition) -> LinComb:
-    """zeta(n) * zeta(s) expanded by the harmonic product, depth-1 case."""
+    """zeta(n) * zeta(s): the depth-1 case of stuffle, its deepest terms first."""
     if n < 2:
         raise ValueError(f"stuffle_depth1 needs n >= 2, got {n}")
     if not s.is_convergent:
         raise ValueError(f"stuffle_depth1 needs a convergent composition, got {s}")
-    args = s.args
-    terms = []
-    for i in range(len(args) + 1):
-        terms.append((ZetaComposition(args[:i] + (n,) + args[i:]), 1))
-    for i in range(len(args)):
-        terms.append((ZetaComposition(args[:i] + (args[i] + n,) + args[i + 1:]), 1))
-    return combine(terms)
+    terms = sorted(stuffle((n,), s.args).items(), key=lambda kv: -len(kv[0]))
+    return combine((ZetaComposition(args), mult) for args, mult in terms)
 
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]

@@ -250,10 +250,8 @@ class ZetaComposition:
         s = text.strip()
         if not s.startswith("z(") or not s.endswith(")"):
             raise ParseError("expected 'z(s1,...,sk)'", 0)
-        body = s[2:-1].strip()
-        if not body:
-            return cls(())
-        return cls(parse_ints(body, "zeta argument", 2))
+        body = s[2:-1]
+        return cls(parse_ints(body, "zeta argument", 2) if body.strip() else ())
 
     def __str__(self) -> str:
         return f"z({','.join(str(a) for a in self.args)})"

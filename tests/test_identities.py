@@ -401,12 +401,16 @@ class TestCompositionSums:
             ("bowman-bradley", 2, -1),
             ("bowman-bradley", -1, 1),
             ("z1333-compsum", -1, 1),
-            ("further-13332n", 2, -1),
         ],
     )
     def test_rejects_negative_parameters(self, kind, m, n):
         with pytest.raises(ValueError, match="m, n >= 0"):
             gen_composition_sums(kind, m=m, n=n)
+
+    @pytest.mark.parametrize("kind, m", [("z1333-compsum", 1), ("further-13332n", 2)])
+    def test_n_is_not_read_outside_bowman_bradley(self, kind, m):
+        # only bowman-bradley reads n, so only it checks n >= 0
+        assert gen_composition_sums(kind, m=m, n=-1) == gen_composition_sums(kind, m=m, n=1)
 
     def test_z13312_sym_degenerate(self):
         ident = gen_z13312_sym((0, 0, 0, 0, 0))

@@ -20,6 +20,7 @@ from blockzeta.regalgebra import (
     regularise,
     regularise_word,
     shuffle_words,
+    stuffle,
     stuffle_depth1,
     zeta_two_power,
 )
@@ -275,6 +276,18 @@ class TestAlgebraNumericsConsistency:
                 via_stuffle = eval_lincomb(stuffle_depth1(n, s), digits)
                 prod = eval_mzv(zc(n), digits) * eval_mzv(s, digits)
                 assert (via_stuffle - prod).abs_at_most(Fraction(1, 10 ** (digits - 2)))
+        # the general stuffle on every ordered pair of convergent s, t with
+        # weight(s) + weight(t) <= 8, depth >= 2 on either side included
+        comps = {N: [word_to_mzv(w)[0] for w in convergent_words(N)] for N in range(2, 7)}
+        pairs = [
+            (s, t) for a in comps for b in comps if a + b <= 8 for s in comps[a] for t in comps[b]
+        ]
+        assert len(pairs) == 129
+        for s, t in pairs:
+            terms = combine((zc(*args), m) for args, m in stuffle(s.args, t.args).items())
+            via_stuffle = eval_lincomb(terms, digits)
+            prod = eval_mzv(s, digits) * eval_mzv(t, digits)
+            assert (via_stuffle - prod).abs_at_most(Fraction(1, 10 ** (digits - 2))), (s, t)
 
 
 class TestVerify:

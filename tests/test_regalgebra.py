@@ -15,6 +15,7 @@ from blockzeta.regalgebra import (
     regularise_word,
     shuffle_interiors,
     shuffle_words,
+    stuffle,
     stuffle_depth1,
     zeta_even_coeff,
     zeta_two_power,
@@ -148,6 +149,59 @@ def _reference_regularise(c):
     return c.map_terms(per_term)
 
 
+def _insert_into_runs(word, letter, k):
+    """Oracle: the shuffles of letter^k with word, in closed form.
+
+    The runs of `letter` around the other letters gain x_1, ..., x_r
+    copies, (x_i) a weak composition of k; a run of l that gains x counts
+    C(l + x, x) interleavings.  Distinct gains give distinct words.
+    """
+    runs = [0]
+    for x in word:
+        if x == letter:
+            runs[-1] += 1
+        else:
+            runs.append(0)
+    out = {}
+    for gains in compositions(k, len(runs)):
+        letters, mult = [], 1
+        for i, (l, x) in enumerate(zip(runs, gains)):
+            if i:
+                letters.append(1 - letter)
+            letters.extend([letter] * (l + x))
+            mult *= comb(l + x, x)
+        out[tuple(letters)] = mult
+    return out
+
+
+def _two_stage_regularise(interior):
+    """Oracle: reg I(0; interior; 1), independent of the package's recursion.
+
+    Stage 1 regularises the lower end: 0^a 1 v gives (-1)^a times the sum
+    of R(1 s) over the shuffles s of 0^a with v.  Stage 2 regularises the
+    upper end: R(t) is 0 when t is all ones, and otherwise, for
+    t = u 0 1^b, (-1)^b times the sum of I(0; w 0; 1) over the shuffles w
+    of 1^b with u.  Each term is keyed by its dual interior, with sign
+    (-1)^weight, as _regularise_word keys them.
+    """
+    if not interior:
+        return {(): 1}
+    if 1 not in interior:
+        return {}
+    a = interior.index(1)
+    weight_sign = -1 if len(interior) % 2 else 1
+    out = {}
+    for s, m1 in _insert_into_runs(interior[a + 1:], 0, a).items():
+        t = (1,) + s
+        if 0 not in t:
+            continue
+        b = t[::-1].index(0)
+        for w, m2 in _insert_into_runs(t[:len(t) - b - 1], 1, b).items():
+            dual = tuple(1 - x for x in reversed(w + (0,)))
+            out[dual] = out.get(dual, 0) + (-1) ** (a + b) * weight_sign * m1 * m2
+    return {v: n for v, n in out.items() if n}
+
+
 class TestCompositions:
     def test_matches_recursive_oracle(self):
         # totals -1..8 and 0..9 parts keep the boundary cases (a negative
@@ -271,6 +325,14 @@ class TestRegularise:
                 bounds.add((w.letters[0], w.letters[-1]))
         assert bounds == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
+    def test_matches_two_stage_closed_form(self):
+        # every word with bounds (0, 1) of 2..12 letters, from a cold cache
+        regalgebra._REG_CACHE.clear()
+        interiors = [v for n in range(11) for v in itertools.product((0, 1), repeat=n)]
+        assert len(interiors) == 2047
+        for v in interiors:
+            assert regalgebra._regularise_word((0,) + v + (1,)) == _two_stage_regularise(v), v
+
     def test_mixed_keys_match_reference(self):
         comb = LinComb(
             {
@@ -379,6 +441,15 @@ class TestStuffle:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             stuffle_depth1(1, zc(2))
+
+    def test_general_examples(self):
+        assert stuffle((), (2, 3)) == {(2, 3): 1} == stuffle((2, 3), ())
+        assert stuffle((1, 2), (3,)) == {
+            (1, 2, 3): 1, (1, 5): 1, (1, 3, 2): 1, (4, 2): 1, (3, 1, 2): 1
+        }
+        # the number of terms of depths p and q, counted with multiplicity,
+        # is the Delannoy number D(p, q)
+        assert sum(stuffle((2, 2), (2, 2, 2)).values()) == 25
 
 
 class TestEvenZetas:

@@ -7,6 +7,7 @@ lives in the wrong place or is written twice.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import blockzeta
@@ -68,3 +69,41 @@ def test_every_public_definition_is_used_or_documented():
         if name not in used and name not in documented
     )
     assert not unused, unused
+
+
+ROOT = README.parent
+
+
+def _imported_top_level(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in one file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_tier1_workflow_installs_what_the_tests_import():
+    """The CI workflow is read as text (PyYAML is not a test dependency):
+    it installs the `test` extra and runs pytest with PYTHONPATH=src, and
+    that extra names every third-party module the tests import."""
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    assert re.search(r'pip install (-e )?"?\.\[test\]"?', workflow)
+    runs = [line for line in workflow.splitlines() if "python -m pytest" in line]
+    assert runs and all("PYTHONPATH=src" in line for line in runs), runs
+
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    extra = re.search(r"^test = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    listed = {
+        re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+        for req in re.findall(r'"([^"]+)"', extra)
+    }
+    local = {"blockzeta"} | {
+        p.stem for folder in (ROOT / "tests", ROOT / "perfbench") for p in folder.glob("*.py")
+    }
+    imported = set().union(*map(_imported_top_level, (ROOT / "tests").rglob("*.py")))
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"pytest", "hypothesis", "mpmath"} <= third_party
+    assert third_party <= listed, sorted(third_party - listed)

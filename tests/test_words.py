@@ -266,6 +266,7 @@ class TestTextFormats:
             (BlockDecomposition.parse, "(0;)", "bad block length '' (at position 3)"),
             (ZetaComposition.parse, "z(1,a)", "bad zeta argument 'a' (at position 4)"),
             (ZetaComposition.parse, "z(2, ,3)", "bad zeta argument '' (at position 4)"),
+            (ZetaComposition.parse, "z( 2 , ,3)", "bad zeta argument '' (at position 6)"),
         ],
     )
     def test_list_entries_are_named_with_their_position(self, parse, text, message):
