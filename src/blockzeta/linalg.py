@@ -50,11 +50,15 @@ def _primes():
 
 
 def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    """Each row times the lcm of its denominators; zero rows dropped."""
+    """Each row times the lcm of its denominators; zero rows dropped.
+    An integer row (lcm 1) is read off its numerators."""
     out = []
     for row in rows:
         den = lcm(*{x.denominator for x in row})
-        ints = [x.numerator * (den // x.denominator) for x in row]
+        if den == 1:
+            ints = [x.numerator for x in row]
+        else:
+            ints = [x.numerator * (den // x.denominator) for x in row]
         if any(ints):
             out.append(ints)
     return out

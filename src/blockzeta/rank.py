@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from math import lcm
 
 from .identities import Identity, gen_altodd_even, gen_altodd_odd, gen_cyclic_full
 from .linalg import rank_of
@@ -37,8 +38,20 @@ def zagier_dim(N: int) -> int:
     return d[N]
 
 
+MAX_WEIGHT = 14  # ceiling: every row is dense over 2^(N-2) basis words
+_ZERO = Fraction(0)  # the zero entry every row shares
+
+
 def basis_compositions(N: int) -> list[ZetaComposition]:
-    """Convergent weight-N compositions ordered by their words."""
+    """Convergent weight-N compositions ordered by their words.
+
+    The one check of a basis weight: N must be an int (not a bool) in
+    0..MAX_WEIGHT, else ValueError.
+    """
+    if not isinstance(N, int) or isinstance(N, bool) or N < 0:
+        raise ValueError(f"weight must be a non-negative integer, got {N!r}")
+    if N > MAX_WEIGHT:
+        raise ValueError(f"weight {N} beyond the configured ceiling {MAX_WEIGHT}")
     out = []
     for w in convergent_words(N):
         comp, _ = word_to_mzv(w)
@@ -46,10 +59,24 @@ def basis_compositions(N: int) -> list[ZetaComposition]:
     return out
 
 
-@cache
+# typed, so that True misses the entry of 1 and reaches the weight check
+@lru_cache(maxsize=None, typed=True)
 def _basis_index(N: int) -> dict[ZetaComposition, int]:
     """Position of each basis composition; shared, so read it only."""
     return {comp: i for i, comp in enumerate(basis_compositions(N))}
+
+
+@cache
+def _pi_columns(k: int, s: ZetaComposition, N: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """pi^(2k) zeta(s) in the weight-N basis as (d, ((column, n), ...)),
+    entries n / d: (1 / c_k) zeta(2k) zeta(s) by the depth-1 stuffle,
+    where zeta(2k) = c_k pi^(2k).  Shared, so read it only."""
+    index = _basis_index(N)
+    inv = 1 / zeta_even_coeff(k).coeff
+    return inv.denominator, tuple(
+        (index[comp], inv.numerator * c.coeff.numerator)
+        for comp, c in stuffle_depth1(2 * k, s).items()
+    )
 
 
 def vectorize(comb: LinComb, N: int) -> list[Fraction]:
@@ -57,26 +84,33 @@ def vectorize(comb: LinComb, N: int) -> list[Fraction]:
 
     Word terms are regularised.  A term q pi^(2k) zeta(s) is
     (q / c_k) zeta(2k) zeta(s), where zeta(2k) = c_k pi^(2k), expanded by
-    the depth-1 stuffle; for the empty s it is (q / c_k) zeta(2k).  A term
-    of another weight, or a bare constant, is rejected.
+    the depth-1 stuffle (`_pi_columns`); for the empty s it is
+    (q / c_k) zeta(2k).  A term of another weight, or a bare constant, is
+    rejected.  The entries are summed as integers over one denominator;
+    the zero entries are one shared Fraction.
     """
     index = _basis_index(N)
-    vec = [Fraction(0)] * len(index)
+    terms = []  # (numerator, denominator, ((column, entry), ...))
     for key, coeff in regularise(comb).items():
         if key.weight + coeff.pi_exp != N:
             raise ValueError(
                 f"weight {key.weight + coeff.pi_exp} term in weight-{N} relation"
             )
+        q = coeff.coeff
         if not coeff.pi_exp:
             if not key.args:
                 raise ValueError(f"constant term in a weight-{N} relation")
-            vec[index[key]] += coeff.coeff
-            continue
-        k = coeff.pi_exp // 2
-        q = coeff.coeff / zeta_even_coeff(k).coeff
-        for comp, c in stuffle_depth1(2 * k, key).items():
-            vec[index[comp]] += q * c.coeff
-    return vec
+            terms.append((q.numerator, q.denominator, ((index[key], 1),)))
+        else:
+            d, entries = _pi_columns(coeff.pi_exp // 2, key, N)
+            terms.append((q.numerator, q.denominator * d, entries))
+    D = lcm(*(den for _, den, _ in terms))
+    nums = [0] * len(index)
+    for num, den, entries in terms:
+        m = num * (D // den)
+        for j, e in entries:
+            nums[j] += m * e
+    return [Fraction(n, D) if n else _ZERO for n in nums]
 
 
 def identity_vector(ident: Identity) -> list[Fraction]:
@@ -191,7 +225,6 @@ FAMILIES = {
     "altodd": ("alt-odd", lambda N: altodd_rows(N)),
     "duality": ("duality", lambda N: duality_rows(N)),
 }
-MAX_WEIGHT = 14  # ceiling: every row is dense over 2^(N-2) basis words
 
 
 def relation_rows(N: int, families: tuple[str, ...]) -> dict[str, list[list[Fraction]]]:
@@ -199,8 +232,7 @@ def relation_rows(N: int, families: tuple[str, ...]) -> dict[str, list[list[Frac
     N >= 2, families from FAMILIES."""
     if N < 2:
         raise ValueError(f"weight must be at least 2, got {N}")
-    if N > MAX_WEIGHT:
-        raise ValueError(f"weight {N} beyond the configured ceiling {MAX_WEIGHT}")
+    _basis_index(N)  # checks the weight; every row reads it
     for family in families:
         if family not in FAMILIES:
             raise ValueError(

@@ -12,7 +12,10 @@ those sums directly; only regularise reads compositions off, once per
 sum, with their sign (-1)^depth, and converts to PiRational for its
 output.  The recursion terminates because each divergence expansion
 yields words with a 1 next to the lower bound, and at most one duality
-step re-exposes leading zeros.
+step re-exposes leading zeros.  The divergence expansion itself is read
+off in closed form, from binomials over the weak compositions of the
+leading zeros (Ihara-Kaneko-Zagier); shuffle_interiors is the general
+shuffle product, behind shuffle_words.
 
 stuffle(s, t) is the one harmonic product, on argument tuples;
 stuffle_depth1, which rank.vectorize calls, is its depth-1 case.
@@ -46,6 +49,12 @@ def _expand_leading(interior: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     shuffle-power of I(0;0;1), regularised to 0.  The expansion has
     C(k + j, j) distinct interiors, j the number of ones in v; it is
     counted first and may not exceed MAX_EXPANSION.
+
+    It is enumerated in closed form: the k zeros join the j + 1 zero-runs
+    of v, a run of l letters that gains x zeros counts C(l + x, x) ways,
+    and the gains run over the weak compositions of k.  A stack of
+    (run, zeros left, prefix, multiplicity) walks them, largest gain to
+    the first run first, which is the order the shuffles first show in.
     """
     if 1 not in interior:
         return {}
@@ -58,10 +67,25 @@ def _expand_leading(interior: tuple[int, ...]) -> dict[tuple[int, ...], int]:
             f"the configured ceiling {MAX_EXPANSION}"
         )
     sign = -1 if k % 2 else 1
-    return {
-        (1,) + s: sign * mult
-        for s, mult in shuffle_interiors((0,) * k, interior[k + 1:]).items()
-    }
+    v = interior[k + 1:]
+    starts = [0] + [p + 1 for p, x in enumerate(v) if x]  # where each zero-run starts
+    runs = [b - a - 1 for a, b in zip(starts, starts[1:] + [len(v) + 1])]  # its zeros
+    last = len(runs) - 1
+    out = {}
+    stack = [(0, k, (1,), sign)]
+    while stack:
+        i, left, prefix, mult = stack.pop()
+        if not left:
+            out[prefix + v[starts[i]:]] = mult
+            continue
+        run = runs[i]
+        if i == last:
+            out[prefix + (0,) * (run + left)] = mult * comb(run + left, left)
+            continue
+        for x in range(left + 1):  # pushed so that x = left pops first
+            piece = (0,) * (run + x) + (1,)
+            stack.append((i + 1, left - x, prefix + piece, mult * comb(run + x, x)))
+    return out
 
 
 def _regularise_word(letters: tuple[int, ...]) -> dict[tuple[int, ...], int]:

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from blockzeta import cli
+from blockzeta import cli, rank
 from blockzeta.bigreal import BigReal, bits_for_digits
 from blockzeta.identities import (
     compute_Lk,
@@ -19,7 +19,12 @@ from blockzeta.linalg import MERSENNE_61, _primes, rank_certificate, rank_of
 from blockzeta.lincomb import LinComb, PiRational
 from blockzeta.numerics import eval_mzv
 from blockzeta.rank import (
+    FAMILIES,
+    MAX_WEIGHT,
+    _altodd_identities,
     _basis_index,
+    _pi_columns,
+    _some_term_has_adjacent_ones,
     altodd_rows,
     basis_compositions,
     cyclic_family,
@@ -84,6 +89,51 @@ def _bareiss_rank(rows):
         if row == n_rows:
             break
     return rank
+
+
+def _reference_vectorize(comb, N):
+    """Oracle for vectorize: the Fraction route, term by term.
+
+    Regularise, then add each plain coefficient at its column, and expand
+    each q pi^(2k) zeta(s) as (q / c_k) zeta(2k) zeta(s) by the depth-1
+    stuffle, zeta(2k) = c_k pi^(2k); no memo, no common denominator.
+    """
+    index = _basis_index(N)
+    vec = [Fraction(0)] * len(index)
+    for key, coeff in regularise(comb).items():
+        assert key.weight + coeff.pi_exp == N
+        if not coeff.pi_exp:
+            vec[index[key]] += coeff.coeff
+            continue
+        k = coeff.pi_exp // 2
+        q = coeff.coeff / zeta_even_coeff(k).coeff
+        for comp, c in stuffle_depth1(2 * k, key).items():
+            vec[index[comp]] += q * c.coeff
+    return vec
+
+
+def _reference_family_rows(N):
+    """The three families' rows at weight N, every row through
+    _reference_vectorize, pruned as the families prune them."""
+    cyclic = [
+        _reference_vectorize(gen_cyclic_full(c).difference(), N) for c in cyclic_family(N)
+    ]
+    altodd, seen = [], set()
+    for ident in _altodd_identities(N):
+        if _some_term_has_adjacent_ones(ident.lhs):
+            continue
+        vec = _reference_vectorize(ident.difference(), N)
+        if any(vec) and tuple(vec) not in seen:
+            seen.add(tuple(vec))
+            altodd.append(vec)
+    duality = [
+        _reference_vectorize(
+            LinComb.term(word_to_mzv(w)[0]) - LinComb.term(word_to_mzv(w.dual())[0]), N
+        )
+        for w in convergent_words(N)
+        if w.dual() != w
+    ]
+    return {"cyclic": cyclic, "altodd": altodd, "duality": duality}
 
 
 def _frac_rows(rows):
@@ -198,6 +248,60 @@ class TestBasis:
         expect = [Fraction(0)] * len(_basis_index(2 * k))
         expect[_basis_index(2 * k)[zc(2 * k)]] = 1 / zeta_even_coeff(k).coeff
         assert vectorize(LinComb.term(ONE, PiRational(1, 2 * k)), 2 * k) == expect
+
+    @pytest.mark.parametrize("N", range(2, 11))
+    def test_family_rows_match_the_fraction_route(self, N):
+        got = relation_rows(N, tuple(FAMILIES))
+        assert got == _reference_family_rows(N)
+        # equal as Fractions, entry by entry, whatever the row's denominator
+        assert all(type(x) is Fraction for rows in got.values() for row in rows for x in row)
+
+    @pytest.mark.parametrize(
+        "comb, N",
+        [
+            (LinComb.term(ONE, PiRational(1, 2 * k)), 2 * k) for k in range(1, 7)
+        ] + [
+            (LinComb.term(zc(3), PiRational(Fraction(-5, 7), 2)), 5),
+            (LinComb.term(zc(2, 2), PiRational(Fraction(3, 11), 4))
+             + LinComb.term(zc(3, 5), PiRational(Fraction(1, 6)))
+             + LinComb.term(word("0010111000"), PiRational(Fraction(2, 9), 0)), 8),
+            (LinComb.term(zc(2, 2, 2), PiRational(Fraction(7, 3), 4))
+             - LinComb.term(zc(1, 3), PiRational(Fraction(1, 5), 6)), 10),
+        ],
+    )
+    def test_pi_cases_match_the_fraction_route(self, comb, N):
+        assert vectorize(comb, N) == _reference_vectorize(comb, N)
+
+    def test_pi_term_is_resolved_once(self, monkeypatch):
+        # the depth-1 stuffle runs on a miss of the memo only, through rank's binding
+        calls = []
+
+        def counted(n, s):
+            calls.append((n, s))
+            return stuffle_depth1(n, s)
+
+        monkeypatch.setattr(rank, "stuffle_depth1", counted)
+        _pi_columns.cache_clear()
+        once = vectorize(LinComb.term(zc(3), PiRational(Fraction(1, 3), 2)), 5)
+        twice = vectorize(LinComb.term(zc(3), PiRational(Fraction(2, 3), 2)), 5)
+        assert twice == [2 * x for x in once] and any(once)
+        assert calls == [(2, zc(3))]
+
+    @pytest.mark.parametrize(
+        "N, message",
+        [(N, "weight must be a non-negative integer") for N in (-1, 2.5, 10.0, True)]
+        # 15 would build 8 192 basis words without the check, 40 would build 2^38
+        + [(MAX_WEIGHT + 1, "weight 15 beyond the configured ceiling 14")],
+    )
+    def test_bad_weight_rejected(self, N, message):
+        with pytest.raises(ValueError, match=message):
+            vectorize(LinComb.zero(), N)
+        with pytest.raises(ValueError, match=message):
+            basis_compositions(N)
+
+    def test_weights_zero_and_one(self):
+        assert vectorize(LinComb.zero(), 0) == [0]
+        assert vectorize(LinComb.zero(), 1) == [] == basis_compositions(1)
 
     def test_pi_power_is_a_zeta_multiple(self):
         # pi^4 = 90 zeta(4); pi^2 zeta(3) = 6 (zeta(2,3) + zeta(3,2) + zeta(5))

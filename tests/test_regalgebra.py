@@ -269,6 +269,26 @@ class TestDivergenceRelation:
                     assert len(shuffle_interiors((0,) * k, a[k + 1 :])) == comb(k + j, j)
                     assert len(_expand_leading(a)) == comb(k + j, j)
 
+    def test_matches_the_shuffle_route(self):
+        # the closed form against the shuffle identity it enumerates, key for
+        # key and in the order the shuffles first show (regularise_sums keeps
+        # that order), on every interior of 1..13 letters and one long one
+        def shuffle_route(a):
+            if 1 not in a:
+                return []
+            k = a.index(1)
+            sign = -1 if k % 2 else 1
+            return [
+                ((1,) + s, sign * mult)
+                for s, mult in shuffle_interiors((0,) * k, a[k + 1 :]).items()
+            ]
+
+        interiors = [a for L in range(1, 14) for a in itertools.product((0, 1), repeat=L)]
+        interiors.append((0,) + (1,) * 1500 + (0,))  # 1 500 runs: no recursion on them
+        for a in interiors:
+            assert list(_expand_leading(a).items()) == shuffle_route(a), a
+        assert len(_expand_leading(interiors[-1])) == 1500
+
     def test_outputs_start_with_one(self):
         for w in all_words(8):
             if _left_divergent(w):

@@ -107,3 +107,15 @@ def test_tier1_workflow_installs_what_the_tests_import():
     third_party = imported - set(sys.stdlib_module_names) - local
     assert {"pytest", "hypothesis", "mpmath"} <= third_party
     assert third_party <= listed, sorted(third_party - listed)
+
+
+def test_tier1_workflow_runs_the_floor_python():
+    """The workflow's version matrix includes the floor of pyproject's
+    requires-python, quoted (YAML reads an unquoted 3.10 as 3.1)."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+\.\d+)"', pyproject, re.M).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    matrix = re.search(r"^\s*python-version: \[(.*)\]", workflow, re.M)
+    assert matrix, "tier1.yml has no python-version matrix"
+    assert f'"{floor}"' in re.findall(r'"[^"]*"', matrix.group(1)), matrix.group(1)
+    assert "python-version: ${{ matrix.python-version }}" in workflow
