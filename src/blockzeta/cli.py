@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 from . import identities as ident_mod
 from . import serial
@@ -245,7 +246,8 @@ def cmd_rank(args) -> int:
     if args.matrix:
         gathered = relation_rows(args.weight, families)
         rows = [row for block in gathered.values() for row in block]
-        cells = [(i, j, str(x)) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+        cells = [(i, j, str(Fraction(x, row.den)))
+                 for i, row in enumerate(rows) for j, x in enumerate(row) if x]
         basis = [str(c) for c in basis_compositions(args.weight)]
         out = {"weight": args.weight, "basis": basis, "triplets": cells, "rank": rank_of(rows)}
         print(serial.dumps(out))

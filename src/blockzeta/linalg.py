@@ -49,21 +49,6 @@ def _primes():
         n -= 2
 
 
-def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    """Each row times the lcm of its denominators; zero rows dropped.
-    An integer row (lcm 1) is read off its numerators."""
-    out = []
-    for row in rows:
-        den = lcm(*{x.denominator for x in row})
-        if den == 1:
-            ints = [x.numerator for x in row]
-        else:
-            ints = [x.numerator * (den // x.denominator) for x in row]
-        if any(ints):
-            out.append(ints)
-    return out
-
-
 def _echelon_mod(
     mat: list[list[int]], n_cols: int, p: int
 ) -> tuple[list[int], list[list[int]]]:
@@ -180,19 +165,24 @@ class RankCertificate:
     rejected: tuple[int, ...]
 
 
-def rank_certificate(rows: list[list[Fraction]]) -> RankCertificate:
-    """Certified rank over Q by elimination modulo word-size primes.
+def rank_certificate(rows: list[list[int]]) -> RankCertificate:
+    """Certified rank over Q of integer rows by elimination modulo primes.
 
     Each prime gives an echelon form.  One with a larger rank, or the same
     rank and lexicographically earlier pivots, replaces the candidate (the
     pivots over Q are the earliest possible); one that agrees with it is
     combined by CRT.  After each prime the kernel vectors are lifted by
     rational reconstruction and returned only if they pass the exact check.
-    Rows of different lengths are rejected.
+    Rows of different lengths or with an entry that is not an int (a bool,
+    a Fraction, a float) are rejected; zero rows are dropped.
     """
-    if len({len(row) for row in rows}) > 1:
-        raise ValueError("rows differ in length")
-    mat = _integer_rows(rows)
+    width = len(rows[0]) if rows else 0
+    for row in rows:
+        if len(row) != width:
+            raise ValueError("rows differ in length")
+        if set(map(type, row)) - {int}:
+            raise ValueError("row entries must be ints; scale a rational row to integers")
+    mat = [row for row in rows if any(row)]
     transposed = bool(mat) and len(mat) < len(mat[0])
     if transposed:
         mat = [list(col) for col in zip(*mat)]
@@ -235,6 +225,6 @@ def rank_certificate(rows: list[list[Fraction]]) -> RankCertificate:
     raise AssertionError("unreachable: the primes do not run out")
 
 
-def rank_of(rows: list[list[Fraction]]) -> int:
+def rank_of(rows: list[list[int]]) -> int:
     """Exact rank over Q, certified (see `rank_certificate`)."""
     return rank_certificate(rows).rank

@@ -1,17 +1,16 @@
-"""Exact rational vectorisation of relation families and the rank table.
+"""Exact vectorisation of relation families and the rank table.
 
 Rows live in the basis of convergent words of a fixed weight N (sorted
 as binary integers).  A row is an identity's "= 0" form, vectorised:
 regularise, then resolve each pi^(2k) coefficient through zeta(2k) and
-the depth-1 stuffle, then read off coefficients.
+the depth-1 stuffle, then read off integer coefficients over one `Row.den`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .identities import Identity, gen_altodd_even, gen_altodd_odd, gen_cyclic_full
 from .linalg import rank_of
@@ -39,7 +38,15 @@ def zagier_dim(N: int) -> int:
 
 
 MAX_WEIGHT = 14  # ceiling: every row is dense over 2^(N-2) basis words
-_ZERO = Fraction(0)  # the zero entry every row shares
+
+
+class Row(list):
+    """Integer numerators over one denominator `den` > 0, gcd(den, *row) == 1,
+    so rows equal over Q have equal (den, tuple(row)); list == ignores den."""
+
+    def __init__(self, nums: list[int], den: int):
+        super().__init__(nums)
+        self.den = den
 
 
 def basis_compositions(N: int) -> list[ZetaComposition]:
@@ -79,15 +86,15 @@ def _pi_columns(k: int, s: ZetaComposition, N: int) -> tuple[int, tuple[tuple[in
     )
 
 
-def vectorize(comb: LinComb, N: int) -> list[Fraction]:
+def vectorize(comb: LinComb, N: int) -> Row:
     """Coefficient vector of a weight-N combination in the MZV basis.
 
     Word terms are regularised.  A term q pi^(2k) zeta(s) is
     (q / c_k) zeta(2k) zeta(s), where zeta(2k) = c_k pi^(2k), expanded by
     the depth-1 stuffle (`_pi_columns`); for the empty s it is
     (q / c_k) zeta(2k).  A term of another weight, or a bare constant, is
-    rejected.  The entries are summed as integers over one denominator;
-    the zero entries are one shared Fraction.
+    rejected.  The entries are summed as integers over one denominator,
+    then divided by their common factor with it.
     """
     index = _basis_index(N)
     terms = []  # (numerator, denominator, ((column, entry), ...))
@@ -110,10 +117,11 @@ def vectorize(comb: LinComb, N: int) -> list[Fraction]:
         m = num * (D // den)
         for j, e in entries:
             nums[j] += m * e
-    return [Fraction(n, D) if n else _ZERO for n in nums]
+    g = gcd(D, *nums)
+    return Row([n // g for n in nums], D // g)
 
 
-def identity_vector(ident: Identity) -> list[Fraction]:
+def identity_vector(ident: Identity) -> Row:
     """The row of an identity: its "= 0" form, vectorised."""
     return vectorize(ident.difference(), ident.weight)
 
@@ -145,7 +153,7 @@ def cyclic_family(N: int) -> list[tuple[int, ...]]:
     return list(dict.fromkeys(map(least_rotation, _nontrivial_compositions(N))))
 
 
-def duality_rows(N: int) -> list[list[Fraction]]:
+def duality_rows(N: int) -> list[Row]:
     """One row zeta(w) - zeta(dual w) per non-self-dual convergent word."""
     return [
         vectorize(LinComb.term(word_to_mzv(w)[0]) - LinComb.term(word_to_mzv(w.dual())[0]), N)
@@ -192,7 +200,7 @@ def _altodd_identities(N: int):
                     yield gen_altodd_odd(comp, N + 2 - sum(odds))
 
 
-def altodd_rows(N: int) -> list[list[Fraction]]:
+def altodd_rows(N: int) -> list[Row]:
     """Alt-odd relation vectors.
 
     Identities with a term whose word has cyclically adjacent unit blocks
@@ -204,7 +212,7 @@ def altodd_rows(N: int) -> list[list[Fraction]]:
         if _some_term_has_adjacent_ones(ident.lhs):
             continue
         vec = identity_vector(ident)
-        key = tuple(vec)
+        key = (vec.den, tuple(vec))
         if not any(vec) or key in seen:
             continue
         seen.add(key)
@@ -212,7 +220,7 @@ def altodd_rows(N: int) -> list[list[Fraction]]:
     return rows
 
 
-def cyclic_rows(N: int) -> list[list[Fraction]]:
+def cyclic_rows(N: int) -> list[Row]:
     """Full cyclic-insertion relations, the identities `verify` checks."""
     return [identity_vector(gen_cyclic_full(lengths)) for lengths in cyclic_family(N)]
 
@@ -227,7 +235,7 @@ FAMILIES = {
 }
 
 
-def relation_rows(N: int, families: tuple[str, ...]) -> dict[str, list[list[Fraction]]]:
+def relation_rows(N: int, families: tuple[str, ...]) -> dict[str, list[Row]]:
     """The relation vectors of each distinct family, in the order listed;
     N >= 2, families from FAMILIES."""
     if N < 2:

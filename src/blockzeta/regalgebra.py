@@ -18,7 +18,7 @@ leading zeros (Ihara-Kaneko-Zagier); shuffle_interiors is the general
 shuffle product, behind shuffle_words.
 
 stuffle(s, t) is the one harmonic product, on argument tuples;
-stuffle_depth1, which rank.vectorize calls, is its depth-1 case.
+stuffle_depth1, which rank._pi_columns calls, is its depth-1 case.
 """
 
 from __future__ import annotations
@@ -242,13 +242,12 @@ def shuffle_words(u: tuple[int, ...], v: tuple[int, ...]) -> LinComb:
 
 
 def stuffle_depth1(n: int, s: ZetaComposition) -> LinComb:
-    """zeta(n) * zeta(s): the depth-1 case of stuffle, its deepest terms first."""
+    """zeta(n) * zeta(s): the depth-1 case of stuffle."""
     if n < 2:
         raise ValueError(f"stuffle_depth1 needs n >= 2, got {n}")
     if not s.is_convergent:
         raise ValueError(f"stuffle_depth1 needs a convergent composition, got {s}")
-    terms = sorted(stuffle((n,), s.args).items(), key=lambda kv: -len(kv[0]))
-    return combine((ZetaComposition(args), mult) for args, mult in terms)
+    return combine((ZetaComposition(args), mult) for args, mult in stuffle((n,), s.args).items())
 
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]

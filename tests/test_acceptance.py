@@ -288,7 +288,10 @@ def test_criterion_10_cyclic_rank_column(rank_table):
         got = {N: table[N].families["cyclic"][1] for N in range(4, 9)}
         assert got == expected
         # every entry agrees with an elimination that does not use rank_of
-        assert {N: _fraction_rank(r) for N, r in rows.items()} == got
+        assert {
+            N: _fraction_rank([[Fraction(x, row.den) for x in row] for row in r])
+            for N, r in rows.items()
+        } == got
         # weight 7: the rows are independent, so the published 24 cannot
         # arise from this family
         assert len(rows[7]) == CYCLIC_RANK_W7

@@ -1,7 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -21,6 +21,7 @@ from blockzeta.numerics import eval_mzv
 from blockzeta.rank import (
     FAMILIES,
     MAX_WEIGHT,
+    Row,
     _altodd_identities,
     _basis_index,
     _pi_columns,
@@ -136,8 +137,15 @@ def _reference_family_rows(N):
     return {"cyclic": cyclic, "altodd": altodd, "duality": duality}
 
 
-def _frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _fractions(row):
+    """A Row's entries as Fractions, each numerator over the row's den."""
+    return [Fraction(x, row.den) for x in row]
+
+
+def _scaled(row):
+    """A Fraction row times the lcm of its denominators, as ints."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def _reference_cyclic_row(lengths, N):
@@ -152,7 +160,7 @@ def _reference_cyclic_row(lengths, N):
     head = cyclic_sum(lengths)
     if N % 2 == 0:  # I_bl(N+2) is trivial at odd N
         head = head - LinComb.term(word_of(BlockDecomposition(0, (N + 2,))), 1)
-    vec = vectorize(head, N)
+    vec = _fractions(vectorize(head, N))
     for k in range(1, len(lengths) // 2 + 1):
         ms = compute_Lk(lengths, 2 * k)
         if not ms:
@@ -181,7 +189,7 @@ def _reference_cyclic_row(lengths, N):
 def _value(vec, N, digits):
     """The value of sum vec_i zeta(basis_i), to the given digits."""
     acc = BigReal.exact_zero(bits_for_digits(digits))
-    for c, comp in zip(vec, basis_compositions(N)):
+    for c, comp in zip(_fractions(vec), basis_compositions(N)):
         if c:
             acc = acc + eval_mzv(comp, digits).mul_fraction(c)
     return acc
@@ -247,14 +255,28 @@ class TestBasis:
     def test_bare_pi_power_is_the_unit_vector_at_zeta_2k(self, k):
         expect = [Fraction(0)] * len(_basis_index(2 * k))
         expect[_basis_index(2 * k)[zc(2 * k)]] = 1 / zeta_even_coeff(k).coeff
-        assert vectorize(LinComb.term(ONE, PiRational(1, 2 * k)), 2 * k) == expect
+        assert _fractions(vectorize(LinComb.term(ONE, PiRational(1, 2 * k)), 2 * k)) == expect
 
     @pytest.mark.parametrize("N", range(2, 11))
     def test_family_rows_match_the_fraction_route(self, N):
         got = relation_rows(N, tuple(FAMILIES))
-        assert got == _reference_family_rows(N)
         # equal as Fractions, entry by entry, whatever the row's denominator
-        assert all(type(x) is Fraction for rows in got.values() for row in rows for x in row)
+        assert {
+            family: [_fractions(row) for row in rows] for family, rows in got.items()
+        } == _reference_family_rows(N)
+
+    @pytest.mark.parametrize("N", range(2, 11))
+    def test_family_rows_are_in_lowest_terms(self, N):
+        # so a row's (den, numerators) is the same for rows equal over Q
+        for rows in relation_rows(N, tuple(FAMILIES)).values():
+            for row in rows:
+                assert isinstance(row, Row) and all(type(x) is int for x in row)
+                assert row.den > 0 and gcd(row.den, *row) == 1
+
+    def test_common_denominator_cancels(self):
+        # pi^2 zeta(3) / 6 = zeta(2) zeta(3): the entries 6/6 are 1/1
+        vec = vectorize(LinComb.term(zc(3), PiRational(Fraction(1, 6), 2)), 5)
+        assert vec == [1, 1, 1, 0, 0, 0, 0, 0] and vec.den == 1
 
     @pytest.mark.parametrize(
         "comb, N",
@@ -270,7 +292,7 @@ class TestBasis:
         ],
     )
     def test_pi_cases_match_the_fraction_route(self, comb, N):
-        assert vectorize(comb, N) == _reference_vectorize(comb, N)
+        assert _fractions(vectorize(comb, N)) == _reference_vectorize(comb, N)
 
     def test_pi_term_is_resolved_once(self, monkeypatch):
         # the depth-1 stuffle runs on a miss of the memo only, through rank's binding
@@ -284,7 +306,7 @@ class TestBasis:
         _pi_columns.cache_clear()
         once = vectorize(LinComb.term(zc(3), PiRational(Fraction(1, 3), 2)), 5)
         twice = vectorize(LinComb.term(zc(3), PiRational(Fraction(2, 3), 2)), 5)
-        assert twice == [2 * x for x in once] and any(once)
+        assert twice == [2 * x for x in once] and twice.den == once.den and any(once)
         assert calls == [(2, zc(3))]
 
     @pytest.mark.parametrize(
@@ -345,33 +367,39 @@ class TestRankOf:
     def test_ragged_rows_rejected(self, rows):
         # checked before zero rows are dropped, so a short zero row counts too
         with pytest.raises(ValueError, match="rows differ in length"):
-            rank_of(_frac_rows(rows))
+            rank_of(rows)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [Fraction(1, 2), Fraction(1), 0.5, True, 0.0, False],
+        ids=["half", "Fraction-one", "float", "True", "float-zero", "False"],
+    )
+    def test_non_integer_entries_rejected(self, bad):
+        # checked before zero rows are dropped, so a zero-valued entry counts too
+        with pytest.raises(ValueError, match="row entries must be ints"):
+            rank_of([[1, 2], [3, bad]])
+        with pytest.raises(ValueError, match="row entries must be ints"):
+            rank_certificate([[0, bad]])
 
     def test_duplicates_do_not_count(self):
-        row = [Fraction(1), Fraction(2)]
-        assert rank_of([row, row, [Fraction(2), Fraction(4)]]) == 1
+        row = [1, 2]
+        assert rank_of([row, row, [2, 4]]) == 1
 
     def test_simple(self):
-        rows = [
-            [Fraction(1), Fraction(0), Fraction(1)],
-            [Fraction(0), Fraction(1), Fraction(1)],
-            [Fraction(1), Fraction(1), Fraction(2)],
-        ]
-        assert rank_of(rows) == 2
+        assert rank_of([[1, 0, 1], [0, 1, 1], [1, 1, 2]]) == 2
 
     def test_certificate_is_exact(self):
-        rows = _frac_rows([[1, 0, 1, 2], [0, 1, 1, 3], [1, 1, 2, 5], [2, 1, 3, 7], [0, 0, 0, 0]])
+        rows = [[1, 0, 1, 2], [0, 1, 1, 3], [1, 1, 2, 5], [2, 1, 3, 7], [0, 0, 0, 0]]
         cert = rank_certificate(rows)
         assert cert.rank == 2 and not cert.transposed
         assert cert.primes == (MERSENNE_61,) and cert.rejected == ()
         assert len(cert.kernel) == 4 - cert.rank
-        ints = [[int(x) for x in row] for row in rows]
         for vec in cert.kernel:
-            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in ints)
+            assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
 
     def test_transposed_kernel_relates_rows(self):
         # fewer rows than columns: the kernel is a relation among the rows
-        rows = _frac_rows([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 1, 0]])
+        rows = [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 1, 0]]
         cert = rank_certificate(rows)
         assert cert.rank == 2 and cert.transposed
         (vec,) = cert.kernel
@@ -380,7 +408,7 @@ class TestRankOf:
 
     def test_bad_first_prime_is_rejected(self):
         # the determinant is 2^61 - 1, so the rank drops mod the first prime
-        rows = _frac_rows([[1, 1], [1, 1 + MERSENNE_61]])
+        rows = [[1, 1], [1, 1 + MERSENNE_61]]
         cert = rank_certificate(rows)
         assert cert.rank == 2 == _bareiss_rank(rows)
         assert cert.rejected == (MERSENNE_61,)
@@ -390,7 +418,7 @@ class TestRankOf:
         # the first column vanishes mod 2^61 - 1 but the rank does not drop;
         # the kernel vector (-1, p) only fits the pivots over Q
         p = MERSENNE_61
-        rows = _frac_rows([[p, 1], [2 * p, 2], [3 * p, 3]])
+        rows = [[p, 1], [2 * p, 2], [3 * p, 3]]
         cert = rank_certificate(rows)
         assert cert.rank == 1 == _bareiss_rank(rows)
         assert cert.pivots == (0,) and MERSENNE_61 in cert.rejected
@@ -402,7 +430,7 @@ class TestRankOf:
         # second row vanishes modulo the second prime, where the rank drops
         p1, p2, p3 = itertools.islice(_primes(), 3)
         A, B = 2**40 + 3, 2**40 + 7
-        rows = _frac_rows([[1, 0, -A], [0, p2, -p2 * B], [1, p2, -A - p2 * B]])
+        rows = [[1, 0, -A], [0, p2, -p2 * B], [1, p2, -A - p2 * B]]
         cert = rank_certificate(rows)
         assert cert.rank == 2 == _bareiss_rank(rows)
         assert cert.primes == (p1, p3) and cert.rejected == (p2,)
@@ -411,7 +439,7 @@ class TestRankOf:
     def test_reconstruction_needs_several_primes(self):
         # the echelon entry 5^30 / 3^40 needs a modulus above 2^134
         a, b = 3**40, 5**30
-        rows = _frac_rows([[a, b], [2 * a, 2 * b], [-a, -b]])
+        rows = [[a, b], [2 * a, 2 * b], [-a, -b]]
         cert = rank_certificate(rows)
         assert cert.rank == 1 == _bareiss_rank(rows)
         assert len(cert.primes) >= 3 and cert.rejected == ()
@@ -424,15 +452,16 @@ class TestRankOf:
         r2 = [Fraction(2), Fraction(1, den**2), Fraction(0), Fraction(9, 13)]
         x, y = Fraction(den + 2, 3**50), Fraction(-(2**70), den)
         r3 = [x * a + y * b for a, b in zip(r1, r2)]
-        rows = [r1, r2, r3, [Fraction(0)] * 4]
+        # each rational row is passed multiplied through by its lcm
+        rows = [_scaled(r) for r in (r1, r2, r3, [Fraction(0)] * 4)]
         assert rank_of(rows) == 2 == _bareiss_rank(rows)
-        rows.append([Fraction(1, den**3), Fraction(0), Fraction(1), Fraction(0)])
+        rows.append(_scaled([Fraction(1, den**3), Fraction(0), Fraction(1), Fraction(0)]))
         assert rank_of(rows) == 3 == _bareiss_rank(rows)
 
     def test_input_rows_untouched(self):
-        rows = _frac_rows([[1, 2], [2, 4]])
+        rows = [Row([1, 2], 3), Row([0, 0], 1), [2, 4]]
         rank_of(rows)
-        assert rows == _frac_rows([[1, 2], [2, 4]])
+        assert rows == [[1, 2], [0, 0], [2, 4]] and rows[0].den == 3
 
     def test_agrees_with_bareiss_on_the_table(self, weight_rows):
         for N, (cyc, alt, dual) in weight_rows.items():
@@ -509,7 +538,9 @@ class TestCyclicFamily:
 
     def test_rows_match_the_reference_derivation(self, weight_rows):
         for N, (cyc, _, _) in weight_rows.items():
-            assert cyc == [_reference_cyclic_row(c, N) for c in cyclic_family(N)], N
+            assert [_fractions(row) for row in cyc] == [
+                _reference_cyclic_row(c, N) for c in cyclic_family(N)
+            ], N
 
     def test_rank_bound(self, weight_rows):
         # valid relations never exceed the expected rank, up to weight 9
@@ -554,6 +585,17 @@ class TestTableRows:
         assert cli.run(["rank", "--weight", "5", "--families", "duality", "--matrix"]) == 0
         printed = json.loads(capsys.readouterr().out)["basis"]
         assert printed == [str(c) for c in _basis_index(5)] and len(printed) == 8
+
+    @pytest.mark.parametrize("N, dens", [(8, {1, 3}), (10, {1, 3, 15})])
+    def test_matrix_prints_the_reference_entries(self, N, dens, capsys):
+        # the two weights up to 10 whose rows are not all integer
+        reference = [row for rows in _reference_family_rows(N).values() for row in rows]
+        assert {lcm(*(x.denominator for x in row)) for row in reference} == dens
+        assert cli.run(["rank", "--weight", str(N), "--matrix"]) == 0
+        printed = json.loads(capsys.readouterr().out)["triplets"]
+        assert printed == [
+            [i, j, str(x)] for i, row in enumerate(reference) for j, x in enumerate(row) if x
+        ]
 
     def test_adding_duality_never_decreases(self):
         for N in (4, 5, 6):
