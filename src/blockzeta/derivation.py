@@ -74,10 +74,9 @@ def _weight(c: LinComb, what: str) -> int:
 
 def d_less_than_N(c: LinComb) -> LinComb:
     """Direct sum of d_r over all odd grades 3 <= r < weight."""
-    out = LinComb.zero()
-    for r in range(3, _weight(c, "derivation input"), 2):
-        out = out + d_r(c, r)
-    return out
+    return combine(
+        kv for r in range(3, _weight(c, "derivation input"), 2) for kv in d_r(c, r).items()
+    )
 
 
 @dataclass

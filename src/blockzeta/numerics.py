@@ -309,7 +309,7 @@ def verify(identity, digits: int = DEFAULT_DIGITS, max_den: int = 10**6) -> Veri
     """
     check_verify_input(identity, digits, max_den)
     t0 = time.monotonic()
-    threshold = Fraction(1, 10**digits)
+    note = ""
     if identity.rhs is None:
         ratio = eval_lincomb(identity.lhs, digits) / zeta_value(identity.weight, digits)
         try:
@@ -318,28 +318,25 @@ def verify(identity, digits: int = DEFAULT_DIGITS, max_den: int = 10**6) -> Veri
             rec, note = None, str(exc)
         else:
             note = "no small rational multiple recognised"
-        elapsed = time.monotonic() - t0
-        if rec is not None:
+        if rec is None:
+            status, residual, matched = "inconclusive", ratio, 0
+        else:
+            status = "verified"
             residual = ratio - BigReal.from_fraction(rec, ratio.bits)
-            return VerificationReport(
-                identity.describe(), "verified", residual,
-                residual.digits_matched(), digits, elapsed,
-                note=f"lhs = ({rec}) * zeta({identity.weight})",
-            )
-        return VerificationReport(
-            identity.describe(), "inconclusive", ratio, 0, digits, elapsed, note=note
-        )
-    residual = eval_lincomb(identity.difference(), digits)
-    elapsed = time.monotonic() - t0
-    matched = residual.digits_matched()
-    if residual.abs_at_most(threshold):
-        status = "verified"
-    elif residual.abs_exceeds(10 * residual.err_fraction()):
-        status = "refuted"
+            matched = residual.digits_matched()
+            note = f"lhs = ({rec}) * zeta({identity.weight})"
     else:
-        status = "inconclusive"
+        residual = eval_lincomb(identity.difference(), digits)
+        matched = residual.digits_matched()
+        if residual.abs_at_most(Fraction(1, 10**digits)):
+            status = "verified"
+        elif residual.abs_exceeds(10 * residual.err_fraction()):
+            status = "refuted"
+        else:
+            status = "inconclusive"
+    elapsed = time.monotonic() - t0
     return VerificationReport(
-        identity.describe(), status, residual, matched, digits, elapsed
+        identity.describe(), status, residual, matched, digits, elapsed, note
     )
 
 

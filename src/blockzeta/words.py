@@ -223,27 +223,12 @@ def word_of(B: BlockDecomposition) -> Word:
 class ZetaComposition:
     """Argument tuple of a multiple zeta value; convergent iff last >= 2."""
 
-    # slots rather than an instance dict: the read-off memo of
-    # interior_to_mzv holds one composition per distinct interior, and the
-    # hash below is a second attribute
-    __slots__ = ("args", "_hash")
     args: tuple[int, ...]
 
     def __post_init__(self):
         for a in self.args:
-            if a.__class__ is not int and not is_int(a) or a < 1:
+            if not is_int(a) or a < 1:
                 raise ValueError(f"zeta arguments must be positive integers, got {a!r}")
-        # the value the dataclass hash computes on every call, computed once:
-        # compositions key every combination that regularise and rank build
-        object.__setattr__(self, "_hash", hash((self.args,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through the constructor: the frozen __setattr__ refuses the
-        # slot-by-slot restore that pickle and deepcopy would otherwise do
-        return type(self), (self.args,)
 
     @classmethod
     def parse(cls, text: str) -> "ZetaComposition":

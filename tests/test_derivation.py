@@ -129,6 +129,16 @@ class TestDerivation:
         small = LinComb.term(word("01011"), 1)  # weight 3, empty range
         assert d_less_than_N(small).is_zero
 
+    def test_d_less_than_is_sum_of_oracle_grades(self):
+        comb = cyclic_sum((2, 10, 3, 2))  # weight 15: the criterion-4 residue
+        res = d_less_than_N(comb)
+        assert len(res) == 80
+        assert {t.grade for t, _ in res.items()} == {3, 5, 7, 9, 11, 13}
+        oracle = LinComb.zero()
+        for r in range(3, 15, 2):
+            oracle = oracle + oracle_d_r(comb, r)
+        assert res == oracle
+
     def test_mixed_weight_rejected(self):
         comb = LinComb({word("010101"): PiRational(Fraction(1)),
                         word("0101"): PiRational(Fraction(1))})

@@ -1,11 +1,22 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from blockzeta.derivation import d_r
-from blockzeta.identities import cyclic_sum, gen_cyclic_full, gen_hoffman, gen_symmetric
+from blockzeta.identities import (
+    Zeta123Form,
+    cyclic_sum,
+    gen_cyclic_full,
+    gen_hoffman,
+    gen_symmetric,
+)
+from blockzeta.linalg import rank_certificate
 from blockzeta.lincomb import LinComb, PiRational, TensorTerm
+from blockzeta.numerics import SeriesMemo
+from blockzeta.rank import Row
 from blockzeta.serial import (
     dumps,
     identity_from_json,
@@ -51,6 +62,32 @@ class TestJsonRoundTrips:
             for item in items
         )
         assert all(item["grade"] == 7 for item in items)
+
+
+# one value of each value type: pickle, copy and deepcopy of them rely on
+# the defaults of dataclasses and (for Row) of list subclasses
+VALUES = {
+    "Word": word("0110101"),
+    "BlockDecomposition": blocks(1, 2, 3, 1),
+    "PiRational": PiRational(Fraction(-5, 6), 4),
+    "TensorTerm": TensorTerm(word("01011"), word("0101"), 3),
+    "Zeta123Form": Zeta123Form(("1", "3"), (1, 0, 2)),
+    "LinComb": LinComb(
+        {word("0101"): PiRational(Fraction(-3, 7)), zc(2, 3): PiRational(Fraction(5), 4)}
+    ),
+    "Row": Row([3, -1, 0, 2], 15),
+    "RankCertificate": rank_certificate([[1, 2, 3], [2, 4, 6], [0, 1, 1]]),
+    "SeriesMemo": SeriesMemo(50, {(1,): 7, (1, 0): 11}),
+    "Identity": gen_symmetric(blocks(0, 2, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("value", VALUES.values(), ids=VALUES.keys())
+def test_value_survives_pickle_and_copy(value):
+    for back in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(back) is type(value) and back == value
+        if isinstance(value, Row):
+            assert back.den == value.den
 
 
 class TestLatex:

@@ -177,7 +177,7 @@ class TestMzvWords:
 
 
 class TestCompositionHash:
-    """A composition hashes once, when built, to the dataclass's own value."""
+    """A composition hashes as the dataclass does, to hash((args,)), however it is built."""
 
     @staticmethod
     def built_every_way() -> list[list[ZetaComposition]]:
